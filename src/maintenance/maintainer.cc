@@ -249,6 +249,8 @@ Result<MaintenanceReport> ViewMaintainer::ApplyBatch(
   }
   mods_span.reset();
   report.maintenance_seconds = before.MakespanSince(*cluster);
+  report.plan_digest =
+      PlanDigest(plan, triples, report.maintenance_seconds);
 
   // Record the batch for future array reassignment and drop the transient
   // delta arrays.

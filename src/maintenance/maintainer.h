@@ -93,6 +93,9 @@ struct MaintenanceReport {
   /// across all cluster stores (mirrored to store.spilled_bytes). Zero
   /// unless a BufferManager is attached. Telemetry-gated.
   uint64_t spilled_bytes = 0;
+  /// PlanDigest of the executed plan and `maintenance_seconds`: a cheap,
+  /// always-on fingerprint that two runs planned the batch identically.
+  uint64_t plan_digest = 0;
   /// Epoch id published at this batch's commit; 0 when no EpochManager is
   /// attached (batch-only mode, no concurrent serving).
   uint64_t published_epoch = 0;

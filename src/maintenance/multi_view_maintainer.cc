@@ -215,6 +215,8 @@ Result<MaintenanceReport> MultiViewMaintainer::ApplyBatch(
   }
   mods_span.reset();
   report.maintenance_seconds = before.MakespanSince(*cluster);
+  report.plan_digest =
+      PlanDigest(plan, triples, report.maintenance_seconds);
 
   // Record the batch for future array reassignment and drop the transient
   // delta array.

@@ -150,5 +150,15 @@ struct MaintenancePlan {
   std::vector<Move> array_moves;
 };
 
+/// A fingerprint of one executed batch plan, built only from canonical plan
+/// data: the transfers in execution order, the joins keyed by their pair's
+/// operands (not by pair index or plan position), `view_home` in ascending
+/// view-chunk order, the array moves in order, and the bit pattern of the
+/// batch's simulated makespan. Never hashes pointers or hash-map iteration
+/// order, so equal plans digest equally across runs, thread counts and
+/// builds; a changed digest means a changed plan (or a changed makespan).
+uint64_t PlanDigest(const MaintenancePlan& plan, const TripleSet& triples,
+                    double makespan_seconds);
+
 }  // namespace avm
 

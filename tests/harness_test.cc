@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 #include "tests/test_util.h"
 
 namespace avm {
@@ -116,6 +119,74 @@ TEST(HarnessTest, PtfMaintenanceStaysCorrectAcrossRegimes) {
         << BatchRegimeName(regime);
   }
 }
+
+// Plan fingerprints: every (dataset, method) pair at TinyScale must plan its
+// first two batches exactly as the table says. The table was generated once
+// and is never regenerated to make a refactor pass: a differing digest means
+// the refactor changed a transfer, a join placement, a view or array move,
+// or the simulated makespan of a figure workload.
+struct PlanDigestCase {
+  DatasetKind kind;
+  BatchRegime regime;
+  MaintenanceMethod method;
+  uint64_t digests[2];
+};
+
+constexpr PlanDigestCase kPlanDigestTable[] = {
+    {DatasetKind::kPtf5, BatchRegime::kReal, MaintenanceMethod::kBaseline,
+     {0x8c5766d2bf2fceefull, 0x3d3d0433df75fbfdull}},
+    {DatasetKind::kPtf5, BatchRegime::kReal, MaintenanceMethod::kDifferential,
+     {0x8de09569b3f96f9aull, 0x0374f43a9910d83dull}},
+    {DatasetKind::kPtf5, BatchRegime::kReal, MaintenanceMethod::kReassign,
+     {0x4ae22ccb831271f2ull, 0xadb7554ed51e2ed4ull}},
+    {DatasetKind::kPtf25, BatchRegime::kReal, MaintenanceMethod::kBaseline,
+     {0x31e36088a936d512ull, 0xb92e9824327b28a9ull}},
+    {DatasetKind::kPtf25, BatchRegime::kReal, MaintenanceMethod::kDifferential,
+     {0xc34e4d23c01edb03ull, 0x26a3723981a62dbeull}},
+    {DatasetKind::kPtf25, BatchRegime::kReal, MaintenanceMethod::kReassign,
+     {0xbd28db3e54e66ef8ull, 0xfb44743ccd58003full}},
+    {DatasetKind::kGeo, BatchRegime::kRandom, MaintenanceMethod::kBaseline,
+     {0x2bdda0b4bd80ee00ull, 0x0a30c850a7605a0cull}},
+    {DatasetKind::kGeo, BatchRegime::kRandom, MaintenanceMethod::kDifferential,
+     {0x3f692a232c845cf9ull, 0x6a0e37f8db6392c6ull}},
+    {DatasetKind::kGeo, BatchRegime::kRandom, MaintenanceMethod::kReassign,
+     {0xdaae6c7ee9ada122ull, 0x7659ac8a03e38984ull}},
+};
+
+void PrintTo(const PlanDigestCase& c, std::ostream* os) {
+  *os << DatasetKindName(c.kind) << "/" << MaintenanceMethodName(c.method);
+}
+
+class PlanDigestTest : public ::testing::TestWithParam<PlanDigestCase> {};
+
+TEST_P(PlanDigestTest, MatchesTable) {
+  const PlanDigestCase& c = GetParam();
+  ExperimentScale scale = TinyScale();
+  scale.num_batches = 2;
+  ASSERT_OK_AND_ASSIGN(PreparedExperiment experiment,
+                       PrepareExperiment(c.kind, c.regime, scale));
+  ASSERT_OK_AND_ASSIGN(
+      BatchSeries series,
+      RunMaintenanceSeries(&experiment, c.method, PlannerOptions()));
+  ASSERT_EQ(series.reports.size(), 2u);
+  for (size_t b = 0; b < 2; ++b) {
+    EXPECT_EQ(series.reports[b].plan_digest, c.digests[b]) << "batch " << b;
+  }
+}
+
+std::string PlanDigestCaseName(
+    const ::testing::TestParamInfo<PlanDigestCase>& info) {
+  std::string name = std::string(DatasetKindName(info.param.kind)) + "_" +
+                     std::string(MaintenanceMethodName(info.param.method));
+  for (char& ch : name) {
+    if (ch == '-') ch = '_';
+  }
+  return name;
+}
+
+INSTANTIATE_TEST_SUITE_P(FigureWorkloads, PlanDigestTest,
+                         ::testing::ValuesIn(kPlanDigestTable),
+                         PlanDigestCaseName);
 
 }  // namespace
 }  // namespace avm
