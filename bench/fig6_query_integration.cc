@@ -21,7 +21,7 @@
 #include <optional>
 
 #include "bench/bench_util.h"
-#include "maintenance/multi_view_maintainer.h"
+#include "maintenance/maintainer.h"
 #include "query/query_planner.h"
 #include "view/view_set.h"
 
@@ -141,7 +141,7 @@ struct QueryFixture {
       }
       AVM_ASSIGN_OR_RETURN(std::vector<SparseArray> batch,
                            fixture.generator->MakeRealBatches(1));
-      MultiViewMaintainer maintainer(&set, MaintenanceMethod::kReassign);
+      ViewMaintainer maintainer(&set, MaintenanceMethod::kReassign);
       AVM_ASSIGN_OR_RETURN(MaintenanceReport report,
                            maintainer.ApplyBatch(batch[0]));
       (void)report;

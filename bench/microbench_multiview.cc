@@ -134,14 +134,17 @@ BenchResult RunConfig(size_t k_views, const std::string& overlap,
 
   std::vector<const CompiledShape*> member_compiled;
   std::vector<std::shared_ptr<const CompiledShape>> member_holds;
+  std::vector<const Shape*> member_shapes;
   for (const Shape& shape : shapes) {
     auto compiled =
         CompiledShapeCache::Global().Get(shape, mapping, array.grid());
     AVM_CHECK(compiled.ok()) << compiled.status().ToString();
     member_holds.push_back(compiled.value());
     member_compiled.push_back(member_holds.back().get());
+    member_shapes.push_back(&shape);
   }
-  auto set_result = CompiledViewSet::Create(shapes, mapping, array.grid());
+  auto set_result =
+      CompiledViewSet::Create(member_shapes, mapping, array.grid());
   AVM_CHECK(set_result.ok()) << set_result.status().ToString();
   const CompiledViewSet& set = std::move(set_result).value();
 

@@ -27,7 +27,6 @@
 
 #include "bench/bench_util.h"
 #include "maintenance/maintainer.h"
-#include "maintenance/multi_view_maintainer.h"
 #include "serve/epoch_manager.h"
 #include "serve/snapshot_query.h"
 #include "telemetry/stopwatch.h"
@@ -227,7 +226,7 @@ int Main(int argc, char** argv) {
 
   // The shared delta pass maintains all members; a K=1 set degenerates to
   // the single-view plans and kernels bit-for-bit.
-  MultiViewMaintainer maintainer(&set, MaintenanceMethod::kReassign);
+  ViewMaintainer maintainer(&set, MaintenanceMethod::kReassign);
   EpochManager manager;
   maintainer.AttachEpochManager(&manager);
 

@@ -78,6 +78,17 @@ Result<Shape> AqlSession::ResolveShape(const ShapeExpr& expr,
 
 Result<std::string> AqlSession::ExecuteCreateView(
     const CreateViewStatement& stmt) {
+  // A view over a view would never be maintained: InsertCells maintains
+  // only the views defined over the array it writes, so the upper view
+  // would silently go stale while still being published.
+  for (const std::string& operand : {stmt.left_array, stmt.right_array}) {
+    if (views_.count(operand) > 0) {
+      return Status::Unimplemented(
+          "view '" + operand +
+          "' cannot be an operand of another view: views over views are "
+          "not maintained");
+    }
+  }
   AVM_ASSIGN_OR_RETURN(ArrayId left_id,
                        catalog_->ArrayIdByName(stmt.left_array));
   AVM_ASSIGN_OR_RETURN(ArrayId right_id,
@@ -190,7 +201,7 @@ Result<std::string> AqlSession::ExecuteCreateView(
     }
     if (set_entry->maintainer == nullptr) {
       set_entry->maintainer =
-          std::make_unique<MultiViewMaintainer>(&set_entry->set, method_);
+          std::make_unique<ViewMaintainer>(&set_entry->set, method_);
     }
   } else {
     entry.maintainer = std::make_unique<ViewMaintainer>(entry.view.get(),

@@ -9,7 +9,6 @@
 #include "cluster/distributed_array.h"
 #include "common/result.h"
 #include "maintenance/maintainer.h"
-#include "maintenance/multi_view_maintainer.h"
 #include "serve/epoch_manager.h"
 #include "serve/snapshot_query.h"
 #include "view/materialized_view.h"
@@ -29,9 +28,11 @@ namespace avm::aql {
 ///   session.InsertCells("A", tonight);            // incremental maintenance
 ///
 /// The session owns the arrays and views it creates. Identity self-join
-/// views over one base array are grouped into a ViewSet maintained by a
+/// views over one base array are grouped into one ViewSet maintained by a
 /// shared delta pass (one scan, one probe per chunk pair, folded into all K
-/// views); other views keep an individual ViewMaintainer.
+/// views); other views keep a ViewMaintainer of their own (a one-member
+/// set). A view's operands must be base arrays: a view over a session view
+/// is rejected with Unimplemented, since nothing would maintain it.
 class AqlSession {
  public:
   /// `placement_factory` decides the static chunking strategy of every
@@ -92,7 +93,7 @@ class AqlSession {
   /// the maintainer points at stays stable across map rehashes.
   struct SetEntry {
     ViewSet set;
-    std::unique_ptr<MultiViewMaintainer> maintainer;
+    std::unique_ptr<ViewMaintainer> maintainer;
   };
 
   Result<std::string> ExecuteCreateArray(const CreateArrayStatement& stmt);

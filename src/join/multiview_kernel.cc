@@ -14,7 +14,7 @@ using join_internal::FragmentBuilder;
 using join_internal::LinearTerms;
 
 Result<CompiledViewSet> CompiledViewSet::Create(
-    const std::vector<Shape>& shapes, const DimMapping& mapping,
+    std::span<const Shape* const> shapes, const DimMapping& mapping,
     const ChunkGrid& right_grid, ShapePrefetch* prefetch) {
   if (shapes.empty()) {
     return Status::InvalidArgument("view set compiles at least one shape");
@@ -23,23 +23,27 @@ Result<CompiledViewSet> CompiledViewSet::Create(
     return Status::InvalidArgument(
         "acceptance masks carry at most 64 views");
   }
-  Shape union_shape = shapes.front();
+  auto compile = [&](const Shape& shape)
+      -> Result<std::shared_ptr<const CompiledShape>> {
+    if (prefetch != nullptr) return prefetch->Get(shape, mapping, right_grid);
+    return CompiledShapeCache::Global().Get(shape, mapping, right_grid);
+  };
+  if (shapes.size() == 1) {
+    AVM_ASSIGN_OR_RETURN(std::shared_ptr<const CompiledShape> compiled,
+                         compile(*shapes.front()));
+    return CompiledViewSet(std::move(compiled), {}, {},
+                           {shapes.front()->size()});
+  }
+  Shape union_shape = *shapes.front();
   for (size_t k = 1; k < shapes.size(); ++k) {
-    if (shapes[k].num_dims() != union_shape.num_dims()) {
+    if (shapes[k]->num_dims() != union_shape.num_dims()) {
       return Status::InvalidArgument(
           "view shapes must share one dimensionality");
     }
-    AVM_ASSIGN_OR_RETURN(union_shape,
-                         Shape::Union(union_shape, shapes[k]));
+    AVM_ASSIGN_OR_RETURN(union_shape, Shape::Union(union_shape, *shapes[k]));
   }
-  std::shared_ptr<const CompiledShape> compiled;
-  if (prefetch != nullptr) {
-    AVM_ASSIGN_OR_RETURN(compiled,
-                         prefetch->Get(union_shape, mapping, right_grid));
-  } else {
-    AVM_ASSIGN_OR_RETURN(compiled, CompiledShapeCache::Global().Get(
-                                       union_shape, mapping, right_grid));
-  }
+  AVM_ASSIGN_OR_RETURN(std::shared_ptr<const CompiledShape> compiled,
+                       compile(union_shape));
 
   // Per-offset acceptance masks, aligned with the union's lexicographic
   // offset order (and therefore with linear_deltas()).
@@ -50,14 +54,14 @@ Result<CompiledViewSet> CompiledViewSet::Create(
   for (const CellCoord& offset : union_shape.offsets()) {
     uint64_t mask = 0;
     for (size_t k = 0; k < shapes.size(); ++k) {
-      if (shapes[k].Contains(offset)) mask |= uint64_t{1} << k;
+      if (shapes[k]->Contains(offset)) mask |= uint64_t{1} << k;
     }
     masks.push_back(mask);
     by_delta.emplace(offset, mask);
   }
   std::vector<size_t> sizes;
   sizes.reserve(shapes.size());
-  for (const Shape& shape : shapes) sizes.push_back(shape.size());
+  for (const Shape* shape : shapes) sizes.push_back(shape->size());
   return CompiledViewSet(std::move(compiled), std::move(masks),
                          std::move(by_delta), std::move(sizes));
 }
@@ -85,6 +89,12 @@ Status MultiViewJoinAggregateChunkPair(const Chunk& left,
   }
   if (multiplicity != 1 && multiplicity != -1) {
     return Status::InvalidArgument("multiplicity must be +1 or -1");
+  }
+  if (lanes.size() == 1) {
+    const MultiViewLane& lane = lanes.front();
+    return JoinAggregateChunkPair(left, right, set.union_compiled(),
+                                  *lane.layout, lane.target, multiplicity,
+                                  lane.out_fragments);
   }
   if (set.union_shape().empty() || left.empty() || right.chunk->empty()) {
     return Status::OK();
@@ -288,7 +298,7 @@ Status MultiViewJoinAggregateChunkPair(const Chunk& left,
     CountAdd(CounterId::kJoinBoundaryCells, boundary_cells);
     CountAdd(CounterId::kJoinProbes, probes);
     CountAdd(CounterId::kJoinScannedCells, scanned_cells);
-    if (num_views > 1) CountAdd(CounterId::kMultiViewSharedPairs);
+    CountAdd(CounterId::kMultiViewSharedPairs);
   }
   return Status::OK();
 }

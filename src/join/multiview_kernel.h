@@ -28,6 +28,10 @@ namespace avm {
 /// order, so the subsequence accepted by view k is exactly view k's own
 /// offset order — which is what makes the demultiplexed per-view folds
 /// bit-identical to running the single-view kernel per view.
+///
+/// A one-shape set is the single view: it holds just that shape's cached
+/// CompiledShape (no union, no masks), and the kernel hands its one lane
+/// to JoinAggregateChunkPair.
 class CompiledViewSet {
  public:
   /// Compiles the union of `shapes` (one per view, same dimensionality)
@@ -35,7 +39,7 @@ class CompiledViewSet {
   /// When `prefetch` is given the union compilation goes through the
   /// pass-scoped memo instead of straight to the global cache. At most 64
   /// shapes (one mask bit per view).
-  static Result<CompiledViewSet> Create(const std::vector<Shape>& shapes,
+  static Result<CompiledViewSet> Create(std::span<const Shape* const> shapes,
                                         const DimMapping& mapping,
                                         const ChunkGrid& right_grid,
                                         ShapePrefetch* prefetch = nullptr);
@@ -47,7 +51,8 @@ class CompiledViewSet {
   const Shape& union_shape() const { return union_compiled_->shape(); }
 
   /// Acceptance mask per union offset, aligned with
-  /// union_compiled().linear_deltas() (lexicographic offset order).
+  /// union_compiled().linear_deltas() (lexicographic offset order). Empty
+  /// for a one-shape set.
   const std::vector<uint64_t>& offset_masks() const { return masks_; }
 
   /// Acceptance mask of an arbitrary delta vector (0 when the delta is in
@@ -104,7 +109,7 @@ struct MultiViewLane {
 /// per-match folds.
 ///
 /// `lanes.size()` must equal `set.num_views()`. `multiplicity` is +1/-1 as
-/// in the single-view kernel.
+/// in the single-view kernel. One lane is the single-view kernel call.
 Status MultiViewJoinAggregateChunkPair(const Chunk& left,
                                        const RightOperand& right,
                                        const CompiledViewSet& set,

@@ -7,7 +7,6 @@
 
 #include "join/compiled_shape.h"
 #include "join/fragment_merge.h"
-#include "join/join_kernel.h"
 #include "join/multiview_kernel.h"
 #include "join/pair_enumeration.h"
 
@@ -148,152 +147,30 @@ Result<DeletionStats> ApplyDeletionBatch(MaterializedView* view,
                                          const SparseArray& deleted_cells,
                                          ShapePrefetch* prefetch) {
   if (view == nullptr) return Status::InvalidArgument("null view");
-  const ViewDefinition& def = view->definition();
-  if (!def.IsSelfJoin() || !def.mapping.IsIdentity()) {
-    return Status::Unimplemented(
-        "deletion batches are supported for identity self-join views");
-  }
-  if (!view->layout().SupportsRetraction()) {
-    return Status::FailedPrecondition(
-        "deletions require retractable aggregates (COUNT/SUM/AVG); this "
-        "view uses MIN/MAX");
-  }
-  DistributedArray& base = view->left_base();
-  Cluster* cluster = base.cluster();
-  Catalog* catalog = base.catalog();
-  const ChunkGrid& grid = base.grid();
-  const AggregateLayout& layout = view->layout();
-  const ViewTarget target{&def.group_dims, &view->array().grid()};
-  const ClusterClockSnapshot before = ClusterClockSnapshot::Take(*cluster);
-  DeletionStats stats;
-
-  AVM_ASSIGN_OR_RETURN(SparseArray victims,
-                       SnapshotVictims(base, deleted_cells));
-  stats.deleted_cells = victims.NumCells();
-  if (stats.deleted_cells == 0) {
-    return stats;  // nothing to do
-  }
-
-  AVM_ASSIGN_OR_RETURN(
-      ChunkFootprint footprint,
-      ChunkFootprint::Compute(def.shape, grid.extents()));
-  AVM_ASSIGN_OR_RETURN(
-      ChunkFootprint reflected,
-      ChunkFootprint::Compute(def.shape.Reflected(), grid.extents()));
-  auto base_exists = [&](ChunkId q) {
-    return catalog->HasChunk(base.id(), q);
-  };
-  // Both retraction passes run the kernel against the base grid; compile the
-  // shape once for all of their chunk pairs (through the pass-scoped memo
-  // when the caller supplies one).
-  std::shared_ptr<const CompiledShape> compiled;
-  if (prefetch != nullptr) {
-    AVM_ASSIGN_OR_RETURN(compiled,
-                         prefetch->Get(def.shape, def.mapping, grid));
-  } else {
-    AVM_ASSIGN_OR_RETURN(compiled, CompiledShapeCache::Global().Get(
-                                       def.shape, def.mapping, grid));
-  }
-
-  std::map<NodeId, std::map<ChunkId, Chunk>> fragments_by_node;
-
-  // Pass B (before erasure): retract the victims' own left-side
-  // contributions — kernel(victims, base incl. victims, -1), evaluated at
-  // each base partner's node (the victim snapshot ships from the
-  // coordinator).
-  {
-    Status status = Status::OK();
-    victims.ForEachChunk([&](ChunkId m, const Chunk& victim_chunk) {
-      if (!status.ok()) return;
-      for (ChunkId q :
-           EnumerateJoinPartnersExact(grid, m, footprint, base_exists)) {
-        auto node = catalog->NodeOf(base.id(), q);
-        if (!node.ok()) continue;
-        const ChunkHandle right =
-            cluster->store(node.value()).GetHandle(base.id(), q);
-        if (right == nullptr) {
-          status = Status::Internal("base chunk missing from its store");
-          return;
-        }
-        cluster->ChargeNetwork(kCoordinatorNode, victim_chunk.SizeBytes());
-        cluster->ChargeJoin(node.value(),
-                            victim_chunk.SizeBytes() + right->SizeBytes());
-        const RightOperand rop{right.get(), q, &grid};
-        status = JoinAggregateChunkPair(victim_chunk, rop, *compiled, layout,
-                                        target, /*multiplicity=*/-1,
-                                        &fragments_by_node[node.value()]);
-        if (!status.ok()) return;
-        ++stats.retraction_joins;
-      }
-    });
-    AVM_RETURN_IF_ERROR(status);
-  }
-
-  AVM_RETURN_IF_ERROR(EraseVictims(&base, victims));
-
-  // Pass A (after erasure): surviving cells retract their deleted partners
-  // — kernel(survivor chunks seeing a victim chunk, victims, -1), at the
-  // survivor's node.
-  {
-    Status status = Status::OK();
-    victims.ForEachChunk([&](ChunkId m, const Chunk& victim_chunk) {
-      if (!status.ok()) return;
-      for (ChunkId q :
-           EnumerateJoinPartnersExact(grid, m, reflected, base_exists)) {
-        auto node = catalog->NodeOf(base.id(), q);
-        if (!node.ok()) continue;
-        const ChunkHandle left =
-            cluster->store(node.value()).GetHandle(base.id(), q);
-        if (left == nullptr) {
-          status = Status::Internal("base chunk missing from its store");
-          return;
-        }
-        cluster->ChargeNetwork(kCoordinatorNode, victim_chunk.SizeBytes());
-        cluster->ChargeJoin(node.value(),
-                            victim_chunk.SizeBytes() + left->SizeBytes());
-        const RightOperand rop{&victim_chunk, m, &grid};
-        status = JoinAggregateChunkPair(*left, rop, *compiled, layout, target,
-                                        /*multiplicity=*/-1,
-                                        &fragments_by_node[node.value()]);
-        if (!status.ok()) return;
-        ++stats.retraction_joins;
-      }
-    });
-    AVM_RETURN_IF_ERROR(status);
-  }
-
-  // Merge all retractions and clean up view cells whose state returned to
-  // the identity (deleted keys and survivors that lost every partner).
-  std::set<std::pair<ChunkId, uint64_t>> touched;
-  AVM_RETURN_IF_ERROR(MergeRetractions(view, &fragments_by_node, &touched));
-  CollectIdentityCells(view, touched, &stats);
-
-  stats.maintenance_seconds = before.MakespanSince(*cluster);
-  return stats;
+  ViewSet set(view);
+  return ApplyDeletionBatch(&set, deleted_cells, prefetch);
 }
 
-Result<DeletionStats> ApplyDeletionBatchToSet(ViewSet* set,
-                                              const SparseArray& deleted_cells,
-                                              ShapePrefetch* prefetch) {
+Result<DeletionStats> ApplyDeletionBatch(ViewSet* set,
+                                         const SparseArray& deleted_cells,
+                                         ShapePrefetch* prefetch) {
   if (set == nullptr || set->empty()) {
     return Status::InvalidArgument("null or empty view set");
   }
-  if (set->size() == 1) {
-    // Exact delegation: K=1 reproduces the single-view deletion (same
-    // kernels, same charges) bit-for-bit.
-    return ApplyDeletionBatch(set->primary(), deleted_cells, prefetch);
+  MaterializedView* primary = set->primary();
+  const ViewDefinition& def = primary->definition();
+  if (!def.IsSelfJoin() || !def.mapping.IsIdentity()) {
+    return Status::Unimplemented(
+        "deletion batches are supported for identity self-join views");
   }
   const size_t num_views = set->size();
   for (MaterializedView* member : set->views()) {
     if (!member->layout().SupportsRetraction()) {
       return Status::FailedPrecondition(
-          "deletions require retractable aggregates (COUNT/SUM/AVG); view "
-          "set member '" +
+          "deletions require retractable aggregates (COUNT/SUM/AVG); view '" +
           member->definition().view_name + "' uses MIN/MAX");
     }
   }
-  MaterializedView* primary = set->primary();
-  const ViewDefinition& def = primary->definition();
   DistributedArray& base = primary->left_base();
   Cluster* cluster = base.cluster();
   Catalog* catalog = base.catalog();
@@ -311,15 +188,11 @@ Result<DeletionStats> ApplyDeletionBatchToSet(ViewSet* set,
   // Partners are enumerated under the members' union — a superset of every
   // member's own partner set, so per-view retractions stay bit-identical:
   // a pair only one member needs folds zero matches into the others
-  // (create-on-first-match emits no fragment for them).
-  std::vector<Shape> shapes;
-  shapes.reserve(num_views);
-  for (MaterializedView* member : set->views()) {
-    shapes.push_back(member->definition().shape);
-  }
+  // (create-on-first-match emits no fragment for them). A one-member set
+  // compiles just its own shape and runs the single-view kernel.
   AVM_ASSIGN_OR_RETURN(
       CompiledViewSet compiled_set,
-      CompiledViewSet::Create(shapes, def.mapping, grid, prefetch));
+      CompiledViewSet::Create(set->shapes(), def.mapping, grid, prefetch));
   AVM_ASSIGN_OR_RETURN(
       ChunkFootprint footprint,
       ChunkFootprint::Compute(compiled_set.union_shape(), grid.extents()));
@@ -349,69 +222,50 @@ Result<DeletionStats> ApplyDeletionBatchToSet(ViewSet* set,
     return lanes;
   };
 
+  // One retraction pass: for every victim chunk m and every base chunk q
+  // enumerated under `fp`, one shared kernel run at q's node with one
+  // transfer/CPU charge for all K views. `victims_left` picks the victim
+  // chunk as the kernel's left (group-by) operand, else q.
+  auto retract = [&](const ChunkFootprint& fp, bool victims_left) {
+    Status status = Status::OK();
+    victims.ForEachChunk([&](ChunkId m, const Chunk& victim_chunk) {
+      if (!status.ok()) return;
+      for (ChunkId q : EnumerateJoinPartnersExact(grid, m, fp, base_exists)) {
+        auto node = catalog->NodeOf(base.id(), q);
+        if (!node.ok()) continue;
+        const ChunkHandle partner =
+            cluster->store(node.value()).GetHandle(base.id(), q);
+        if (partner == nullptr) {
+          status = Status::Internal("base chunk missing from its store");
+          return;
+        }
+        cluster->ChargeNetwork(kCoordinatorNode, victim_chunk.SizeBytes());
+        cluster->ChargeJoin(node.value(),
+                            victim_chunk.SizeBytes() + partner->SizeBytes());
+        const std::vector<MultiViewLane> lanes = lanes_at(node.value());
+        status = victims_left
+                     ? MultiViewJoinAggregateChunkPair(
+                           victim_chunk, RightOperand{partner.get(), q, &grid},
+                           compiled_set, lanes, /*multiplicity=*/-1)
+                     : MultiViewJoinAggregateChunkPair(
+                           *partner, RightOperand{&victim_chunk, m, &grid},
+                           compiled_set, lanes, /*multiplicity=*/-1);
+        if (!status.ok()) return;
+        ++stats.retraction_joins;
+      }
+    });
+    return status;
+  };
   // Pass B (before erasure): retract the victims' own left-side
-  // contributions for every member at once — one shared kernel run per
-  // (victim chunk, base partner), one transfer/CPU charge for all K views.
-  {
-    Status status = Status::OK();
-    victims.ForEachChunk([&](ChunkId m, const Chunk& victim_chunk) {
-      if (!status.ok()) return;
-      for (ChunkId q :
-           EnumerateJoinPartnersExact(grid, m, footprint, base_exists)) {
-        auto node = catalog->NodeOf(base.id(), q);
-        if (!node.ok()) continue;
-        const ChunkHandle right =
-            cluster->store(node.value()).GetHandle(base.id(), q);
-        if (right == nullptr) {
-          status = Status::Internal("base chunk missing from its store");
-          return;
-        }
-        cluster->ChargeNetwork(kCoordinatorNode, victim_chunk.SizeBytes());
-        cluster->ChargeJoin(node.value(),
-                            victim_chunk.SizeBytes() + right->SizeBytes());
-        const RightOperand rop{right.get(), q, &grid};
-        const std::vector<MultiViewLane> lanes = lanes_at(node.value());
-        status = MultiViewJoinAggregateChunkPair(victim_chunk, rop,
-                                                 compiled_set, lanes,
-                                                 /*multiplicity=*/-1);
-        if (!status.ok()) return;
-        ++stats.retraction_joins;
-      }
-    });
-    AVM_RETURN_IF_ERROR(status);
-  }
-
+  // contributions — kernel(victims, base incl. victims, -1), evaluated at
+  // each base partner's node (the victim snapshot ships from the
+  // coordinator).
+  AVM_RETURN_IF_ERROR(retract(footprint, /*victims_left=*/true));
   AVM_RETURN_IF_ERROR(EraseVictims(&base, victims));
-
-  // Pass A (after erasure): surviving cells retract their deleted partners,
-  // again one shared kernel run per (survivor chunk, victim chunk).
-  {
-    Status status = Status::OK();
-    victims.ForEachChunk([&](ChunkId m, const Chunk& victim_chunk) {
-      if (!status.ok()) return;
-      for (ChunkId q :
-           EnumerateJoinPartnersExact(grid, m, reflected, base_exists)) {
-        auto node = catalog->NodeOf(base.id(), q);
-        if (!node.ok()) continue;
-        const ChunkHandle left =
-            cluster->store(node.value()).GetHandle(base.id(), q);
-        if (left == nullptr) {
-          status = Status::Internal("base chunk missing from its store");
-          return;
-        }
-        cluster->ChargeNetwork(kCoordinatorNode, victim_chunk.SizeBytes());
-        cluster->ChargeJoin(node.value(),
-                            victim_chunk.SizeBytes() + left->SizeBytes());
-        const RightOperand rop{&victim_chunk, m, &grid};
-        const std::vector<MultiViewLane> lanes = lanes_at(node.value());
-        status = MultiViewJoinAggregateChunkPair(*left, rop, compiled_set,
-                                                 lanes, /*multiplicity=*/-1);
-        if (!status.ok()) return;
-        ++stats.retraction_joins;
-      }
-    });
-    AVM_RETURN_IF_ERROR(status);
-  }
+  // Pass A (after erasure): surviving cells retract their deleted partners
+  // — kernel(survivor chunks seeing a victim chunk, victims, -1), at the
+  // survivor's node.
+  AVM_RETURN_IF_ERROR(retract(reflected, /*victims_left=*/false));
 
   // Per member: merge its retractions and GC its identity cells, exactly as
   // its solo deletion would.

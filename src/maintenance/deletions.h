@@ -15,7 +15,7 @@ class ShapePrefetch;
 /// astronomy pipelines are insert-only, but its aggregate class
 /// (COUNT/SUM/AVG, Section 3) is explicitly chosen to be incrementally
 /// maintainable, which includes retraction; this module completes that
-/// story for self-join views.
+/// story for identity self-join views.
 ///
 /// Deleting a set D of existing cells changes the view in two ways:
 ///   1. every surviving cell x with a deleted partner y ∈ σ[x] retracts
@@ -37,14 +37,11 @@ struct DeletionStats {
   double maintenance_seconds = 0.0;
 };
 
-Result<DeletionStats> ApplyDeletionBatch(MaterializedView* view,
-                                         const SparseArray& deleted_cells,
-                                         ShapePrefetch* prefetch = nullptr);
-
-/// Multi-view deletions for a whole ViewSet in one shared pass. A per-view
-/// loop over ApplyDeletionBatch would be wrong — the first call erases the
-/// victims, so later views would retract against a base that already lost
-/// them. Instead: the victims are snapshotted once, both retraction passes
+/// Deletes a batch of cells from the shared base of a whole ViewSet and
+/// retracts their contributions from every member in one shared pass. A
+/// per-view loop would be wrong — the first view's pass erases the victims,
+/// so later views would retract against a base that already lost them.
+/// Instead: the victims are snapshotted once, both retraction passes
 /// enumerate partners under the members' *union* footprint and run the
 /// K-lane kernel (views that don't accept a match fold nothing, so each
 /// member's retractions are bit-identical to its solo deletion), the
@@ -52,10 +49,16 @@ Result<DeletionStats> ApplyDeletionBatch(MaterializedView* view,
 /// own retractions and GCs its identity cells. Partner transfer/CPU charges
 /// are paid once for all K views. `retraction_joins` counts shared kernel
 /// invocations; `view_cells_removed` sums over members. Every member must
-/// support retraction. A K=1 set delegates to ApplyDeletionBatch.
-Result<DeletionStats> ApplyDeletionBatchToSet(ViewSet* set,
-                                              const SparseArray& deleted_cells,
-                                              ShapePrefetch* prefetch = nullptr);
+/// support retraction, and the set's views must be identity self-joins
+/// (Unimplemented otherwise).
+Result<DeletionStats> ApplyDeletionBatch(ViewSet* set,
+                                         const SparseArray& deleted_cells,
+                                         ShapePrefetch* prefetch = nullptr);
+
+/// The single view's deletions: the one-member set's pass.
+Result<DeletionStats> ApplyDeletionBatch(MaterializedView* view,
+                                         const SparseArray& deleted_cells,
+                                         ShapePrefetch* prefetch = nullptr);
 
 }  // namespace avm
 

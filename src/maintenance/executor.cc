@@ -113,23 +113,13 @@ PairKey KeyOfPair(const JoinPair& pair) {
 
 /// All join work one worker node executes, plus its outputs. One NodeJoinWork
 /// is the unit of parallelism: a single host task runs the node's joins in
-/// plan order, writing each pair's fragments into that pair's own map.
+/// plan order, demultiplexing each pair's matches into one fragment map per
+/// view-set member.
 struct NodeJoinWork {
   NodeId node = 0;
   std::vector<size_t> join_indices;  // into plan.joins, ascending
-  // One fragment map per executed pair, tagged with its canonical key.
-  std::vector<std::pair<PairKey, std::map<ChunkId, Chunk>>> fragments;
-  uint64_t joins_executed = 0;
-  uint64_t bytes_joined = 0;
-  Status status = Status::OK();
-};
-
-/// NodeJoinWork's multi-view counterpart: the shared pass demultiplexes each
-/// pair's matches into one fragment map per view-set member.
-struct MultiViewNodeJoinWork {
-  NodeId node = 0;
-  std::vector<size_t> join_indices;  // into plan.joins, ascending
-  // One per-lane fragment vector per executed pair (lane-indexed inner).
+  // One per-lane fragment vector per executed pair (lane-indexed inner),
+  // tagged with the pair's canonical key.
   std::vector<std::pair<PairKey, std::vector<std::map<ChunkId, Chunk>>>>
       fragments;
   uint64_t joins_executed = 0;
@@ -353,23 +343,28 @@ void CleanupReplicas(Cluster* cluster, Catalog* catalog,
 
 Result<ExecutionStats> ExecuteMaintenancePlan(const MaintenancePlan& plan,
                                               const TripleSet& triples,
-                                              MaterializedView* view,
+                                              ViewSet* set,
                                               DistributedArray* left_delta,
                                               DistributedArray* right_delta,
                                               ShapePrefetch* prefetch) {
-  if (view == nullptr) return Status::InvalidArgument("null view");
+  if (set == nullptr || set->empty()) {
+    return Status::InvalidArgument("null or empty view set");
+  }
+  MaterializedView* primary = set->primary();
+  const size_t num_views = set->size();
   ExecutionStats stats;
-  Cluster* cluster = view->array().cluster();
+  stats.per_view.resize(num_views);
+  for (size_t k = 0; k < num_views; ++k) {
+    stats.per_view[k].view_name = set->view(k)->definition().view_name;
+  }
+  Cluster* cluster = primary->array().cluster();
   // Pre-execution clocks: per-node activity (and the sim-timeline spans) are
   // deltas against this. Cheap (one NodeClock copy per node), so always on.
   const ClusterClockSnapshot entry_clocks = ClusterClockSnapshot::Take(*cluster);
   ScopedSpan exec_span("exec.batch", "exec");
-  Catalog* catalog = view->array().catalog();
+  Catalog* catalog = primary->array().catalog();
   const int num_workers = cluster->num_workers();
-  const RefResolver resolver(view, left_delta, right_delta);
-  const AggregateLayout& layout = view->layout();
-  const ViewDefinition& def = view->definition();
-  const ViewTarget target{&def.group_dims, &view->array().grid()};
+  const RefResolver resolver(primary, left_delta, right_delta);
 
   // In Debug/test builds, re-check the plan contract at the execution
   // boundary: the executor trusts co-location and the exactly-once join
@@ -410,30 +405,35 @@ Result<ExecutionStats> ExecuteMaintenancePlan(const MaintenancePlan& plan,
   tasks.reserve(work_by_node.size());
   for (auto& [node, work] : work_by_node) tasks.push_back(&work);
 
-  // Compile the view shape once per distinct operand array before the
+  // Compile the members' shapes once per distinct operand array before the
   // fan-out: plans with hundreds of chunk-joins share one linearization, and
   // the hot loop never touches the cache lock. Base and delta arrays chunk
   // the same space, so these usually all resolve to a single cached entry.
-  std::map<const DistributedArray*, std::shared_ptr<const CompiledShape>>
-      compiled_by_array;
+  // A one-member set compiles just its own shape, without masks.
+  const std::vector<const Shape*> shapes = set->shapes();
+  const DimMapping& mapping = primary->definition().mapping;
+  std::map<const DistributedArray*, CompiledViewSet> compiled_by_array;
   for (const auto& [node, work] : work_by_node) {
     for (size_t i : work.join_indices) {
       const JoinPair& pair = triples.pairs[plan.joins[i].pair_index];
       for (const ChunkSide side : {pair.a.side, pair.b.side}) {
         const DistributedArray* array = resolver.ArrayOf(side).value();
-        auto& slot = compiled_by_array[array];
-        if (slot == nullptr) {
-          if (prefetch != nullptr) {
-            AVM_ASSIGN_OR_RETURN(
-                slot, prefetch->Get(def.shape, def.mapping, array->grid()));
-          } else {
-            AVM_ASSIGN_OR_RETURN(slot,
-                                 CompiledShapeCache::Global().Get(
-                                     def.shape, def.mapping, array->grid()));
-          }
-        }
+        if (compiled_by_array.count(array) > 0) continue;
+        AVM_ASSIGN_OR_RETURN(
+            CompiledViewSet compiled,
+            CompiledViewSet::Create(shapes, mapping, array->grid(), prefetch));
+        compiled_by_array.emplace(array, std::move(compiled));
       }
     }
+  }
+
+  // Lane metadata with stable addresses across the parallel phase.
+  std::vector<const AggregateLayout*> layouts(num_views);
+  std::vector<ViewTarget> lane_targets(num_views);
+  for (size_t k = 0; k < num_views; ++k) {
+    layouts[k] = &set->view(k)->layout();
+    lane_targets[k] = ViewTarget{&set->view(k)->definition().group_dims,
+                                 &set->view(k)->array().grid()};
   }
 
   ConcurrentClockBank clock_bank(num_workers);
@@ -443,6 +443,7 @@ Result<ExecutionStats> ExecuteMaintenancePlan(const MaintenancePlan& plan,
   std::optional<ScopedSpan> join_phase_span(std::in_place, "exec.joins",
                                             "exec");
   join_phase_span->AddArg("nodes", static_cast<int64_t>(tasks.size()));
+  join_phase_span->AddArg("views", static_cast<int64_t>(num_views));
   cluster->pool()->ParallelFor(tasks.size(), [&](size_t t) {
     NodeJoinWork& work = *tasks[t];
     const NodeId k = work.node;
@@ -451,6 +452,7 @@ Result<ExecutionStats> ExecuteMaintenancePlan(const MaintenancePlan& plan,
     // simulated charges line up with host execution.
     ScopedSpan node_span("exec.node_joins", "exec");
     node_span.AddArg("node", k);
+    std::vector<MultiViewLane> lanes(num_views);
     const ChunkStore& store = cluster->store(k);
     for (size_t i : work.join_indices) {
       const MaintenancePlan::Join& join = plan.joins[i];
@@ -470,27 +472,34 @@ Result<ExecutionStats> ExecuteMaintenancePlan(const MaintenancePlan& plan,
             std::to_string(k));
         return;
       }
+      // ONE cpu charge per pair — K views amortize the same operand scan;
+      // the joint plan priced pairs the same way.
       clock_bank.AddCpu(k, cost_model.JoinSeconds(pair.bytes), pair.bytes);
       work.bytes_joined += pair.bytes;
-      // Each pair folds into its own fragment map (both directions, ab
-      // first) so the merge can impose a canonical pair order later.
-      work.fragments.emplace_back(KeyOfPair(pair),
-                                  std::map<ChunkId, Chunk>());
-      std::map<ChunkId, Chunk>* pair_fragments =
-          &work.fragments.back().second;
+      // Each pair folds into its own per-view fragment maps (both
+      // directions, ab first) so the merge can impose a canonical pair
+      // order later.
+      work.fragments.emplace_back(
+          KeyOfPair(pair), std::vector<std::map<ChunkId, Chunk>>(num_views));
+      std::vector<std::map<ChunkId, Chunk>>& pair_fragments =
+          work.fragments.back().second;
+      for (size_t v = 0; v < num_views; ++v) {
+        lanes[v] = MultiViewLane{layouts[v], lane_targets[v],
+                                 &pair_fragments[v]};
+      }
       if (pair.dir_ab) {
         const RightOperand rop{b_chunk.get(), pair.b.id, &b_array->grid()};
-        work.status = JoinAggregateChunkPair(
-            *a_chunk, rop, *compiled_by_array.at(b_array), layout, target,
-            /*multiplicity=*/1, pair_fragments);
+        work.status = MultiViewJoinAggregateChunkPair(
+            *a_chunk, rop, compiled_by_array.at(b_array), lanes,
+            /*multiplicity=*/1);
         if (!work.status.ok()) return;
         ++work.joins_executed;
       }
       if (pair.dir_ba) {
         const RightOperand rop{a_chunk.get(), pair.a.id, &a_array->grid()};
-        work.status = JoinAggregateChunkPair(
-            *b_chunk, rop, *compiled_by_array.at(a_array), layout, target,
-            /*multiplicity=*/1, pair_fragments);
+        work.status = MultiViewJoinAggregateChunkPair(
+            *b_chunk, rop, compiled_by_array.at(a_array), lanes,
+            /*multiplicity=*/1);
         if (!work.status.ok()) return;
         ++work.joins_executed;
       }
@@ -509,273 +518,9 @@ Result<ExecutionStats> ExecuteMaintenancePlan(const MaintenancePlan& plan,
   }
 
   // Step 3a: relocate view chunks whose planned home differs from their
-  // current node (the y_v reassignment).
-  std::optional<ScopedSpan> merge_span(std::in_place, "exec.view_merge",
-                                       "exec");
-  const ArrayId view_id = view->array().id();
-  for (const auto& [v, home] : plan.view_home) {
-    AVM_RETURN_IF_ERROR(ValidatePlanNode(home, num_workers, "view home"));
-    auto current = catalog->NodeOf(view_id, v);
-    if (!current.ok() || current.value() == home) continue;
-    AVM_RETURN_IF_ERROR(
-        cluster->TransferChunk(view_id, v, current.value(), home));
-    catalog->AssignChunk(view_id, v, home);
-    ++stats.view_chunks_touched;
-  }
-
-  // Step 3b: ship fragments to their view chunk's home and merge. Fragments
-  // are folded per view chunk in canonical ascending ChunkId order, each
-  // chunk's contributions in ascending PairKey order — a fixed merge
-  // schedule independent of how the join tasks were interleaved AND of
-  // where the planner placed each pair, so the merged floating-point sums
-  // are a pure function of the contributing pair set.
-  std::map<ChunkId,
-           std::vector<std::tuple<PairKey, NodeId, const Chunk*>>>
-      fragments_by_view_chunk;
-  for (const NodeJoinWork* work : tasks) {
-    for (const auto& [key, pair_fragments] : work->fragments) {
-      for (const auto& [v, fragment] : pair_fragments) {
-        fragments_by_view_chunk[v].push_back({key, work->node, &fragment});
-      }
-    }
-  }
-  for (auto& [v, producers] : fragments_by_view_chunk) {
-    std::sort(producers.begin(), producers.end(),
-              [](const auto& lhs, const auto& rhs) {
-                return std::get<0>(lhs) < std::get<0>(rhs);
-              });
-    NodeId home;
-    auto planned = plan.view_home.find(v);
-    if (planned != plan.view_home.end()) {
-      home = planned->second;
-    } else {
-      auto current = catalog->NodeOf(view_id, v);
-      home = current.ok() ? current.value()
-                          : catalog->PlaceByStrategy(view_id, v,
-                                                     cluster->num_workers());
-    }
-    for (const auto& [key, producer, fragment] : producers) {
-      if (producer != home) {
-        cluster->ChargeNetwork(producer, fragment->SizeBytes());
-      }
-      AVM_RETURN_IF_ERROR(
-          MergeStateFragment(&view->array(), v, *fragment, layout, home));
-      ++stats.fragments_merged;
-    }
-  }
-  merge_span->AddArg("fragments",
-                     static_cast<int64_t>(stats.fragments_merged));
-  merge_span.reset();
-  // The fragment scratch chunks are dead after the merge; park their buffer
-  // capacity in the pool so the next batch's join phase (which acquires on
-  // the worker threads, see FragmentBuilder) skips the allocator.
-  for (NodeJoinWork* work : tasks) {
-    for (auto& [key, pair_fragments] : work->fragments) {
-      for (auto& [v, fragment] : pair_fragments) {
-        ChunkPool::Release(std::move(fragment));
-      }
-    }
-    work->fragments.clear();
-  }
-
-  // Step 4: stage-3 storage redistribution of base chunks (free: the data
-  // was already replicated during maintenance; only primaries change).
-  for (const auto& move : plan.array_moves) {
-    if (IsDeltaSide(move.chunk.side)) continue;  // handled with the merge
-    AVM_RETURN_IF_ERROR(
-        ValidatePlanNode(move.node, num_workers, "array move"));
-    AVM_ASSIGN_OR_RETURN(DistributedArray * array,
-                         resolver.ArrayOf(move.chunk.side));
-    auto current = catalog->NodeOf(array->id(), move.chunk.id);
-    if (!current.ok() || current.value() == move.node) continue;
-    if (!cluster->store(move.node).Contains(array->id(), move.chunk.id)) {
-      // The planner promised a replica here; pay for the move otherwise.
-      AVM_RETURN_IF_ERROR(cluster->TransferChunk(
-          array->id(), move.chunk.id, current.value(), move.node));
-    }
-    catalog->AssignChunk(array->id(), move.chunk.id, move.node);
-    ++stats.base_chunks_moved;
-  }
-
-  AVM_RETURN_IF_ERROR(FoldDeltaChunks(plan, resolver, cluster, catalog,
-                                      left_delta, right_delta, num_workers,
-                                      &stats));
-
-  std::vector<ArrayId> persistent = {view->left_base().id(), view_id};
-  if (view->right_base().id() != view->left_base().id()) {
-    persistent.push_back(view->right_base().id());
-  }
-  std::vector<ArrayId> transient;
-  if (left_delta != nullptr) transient.push_back(left_delta->id());
-  if (right_delta != nullptr) transient.push_back(right_delta->id());
-  CleanupReplicas(cluster, catalog, persistent, transient);
-
-  // Post-batch audit: the catalog's bookkeeping for the persistent arrays
-  // must match the physical stores, and no scratch replica may survive the
-  // cleanup above.
-  if constexpr (kDebugChecksEnabled) {
-    ValidateCatalogStoreConsistency(*catalog, *cluster, persistent);
-  }
-
-  stats.per_node = entry_clocks.ActivitySince(*cluster);
-  if (TelemetryEnabled()) {
-    EmitSimulatedClockTelemetry(entry_clocks, stats, num_workers);
-  }
-  return stats;
-}
-
-Result<ExecutionStats> ExecuteMultiViewMaintenancePlan(
-    const MaintenancePlan& plan, const TripleSet& triples, ViewSet* set,
-    DistributedArray* left_delta, ShapePrefetch* prefetch) {
-  if (set == nullptr || set->empty()) {
-    return Status::InvalidArgument("null or empty view set");
-  }
-  MaterializedView* primary = set->primary();
-  const size_t num_views = set->size();
-  ExecutionStats stats;
-  stats.per_view.resize(num_views);
-  for (size_t k = 0; k < num_views; ++k) {
-    stats.per_view[k].view_name = set->view(k)->definition().view_name;
-  }
-  Cluster* cluster = primary->array().cluster();
-  const ClusterClockSnapshot entry_clocks = ClusterClockSnapshot::Take(*cluster);
-  ScopedSpan exec_span("exec.batch", "exec");
-  Catalog* catalog = primary->array().catalog();
-  const int num_workers = cluster->num_workers();
-  const RefResolver resolver(primary, left_delta, /*rdelta=*/nullptr);
-  const DimMapping& mapping = primary->definition().mapping;
-
-  if constexpr (kDebugChecksEnabled) {
-    ValidateMaintenancePlan(plan, triples, num_workers,
-                            &cluster->cost_model());
-  }
-
-  AVM_RETURN_IF_ERROR(
-      RunPlannedTransfers(plan, resolver, cluster, num_workers));
-
-  // Step 2: joins, grouped by executing node exactly like the single-view
-  // path — but each pair runs the K-lane kernel once, charging its CPU cost
-  // once on behalf of every view. That single charge is the shared pass's
-  // amortization; the joint plan priced pairs the same way.
-  std::map<NodeId, MultiViewNodeJoinWork> work_by_node;
-  for (size_t i = 0; i < plan.joins.size(); ++i) {
-    const auto& join = plan.joins[i];
-    if (join.pair_index >= triples.pairs.size()) {
-      return Status::Internal("join references a pair outside the triple set");
-    }
-    AVM_RETURN_IF_ERROR(ValidateJoinNode(join.node, num_workers));
-    const JoinPair& pair = triples.pairs[join.pair_index];
-    AVM_RETURN_IF_ERROR(resolver.ArrayOf(pair.a.side).status());
-    AVM_RETURN_IF_ERROR(resolver.ArrayOf(pair.b.side).status());
-    MultiViewNodeJoinWork& work = work_by_node[join.node];
-    work.node = join.node;
-    work.join_indices.push_back(i);
-  }
-  std::vector<MultiViewNodeJoinWork*> tasks;
-  tasks.reserve(work_by_node.size());
-  for (auto& [node, work] : work_by_node) tasks.push_back(&work);
-
-  // Compile the members' shapes — as one union CompiledShape plus per-offset
-  // acceptance masks — once per distinct operand array before the fan-out.
-  std::vector<Shape> shapes;
-  shapes.reserve(num_views);
-  for (MaterializedView* member : set->views()) {
-    shapes.push_back(member->definition().shape);
-  }
-  std::map<const DistributedArray*, CompiledViewSet> set_by_array;
-  for (const auto& [node, work] : work_by_node) {
-    for (size_t i : work.join_indices) {
-      const JoinPair& pair = triples.pairs[plan.joins[i].pair_index];
-      for (const ChunkSide side : {pair.a.side, pair.b.side}) {
-        const DistributedArray* array = resolver.ArrayOf(side).value();
-        if (set_by_array.count(array) > 0) continue;
-        AVM_ASSIGN_OR_RETURN(
-            CompiledViewSet compiled,
-            CompiledViewSet::Create(shapes, mapping, array->grid(), prefetch));
-        set_by_array.emplace(array, std::move(compiled));
-      }
-    }
-  }
-
-  // Lane metadata with stable addresses across the parallel phase.
-  std::vector<const AggregateLayout*> layouts(num_views);
-  std::vector<ViewTarget> lane_targets(num_views);
-  for (size_t k = 0; k < num_views; ++k) {
-    layouts[k] = &set->view(k)->layout();
-    lane_targets[k] = ViewTarget{&set->view(k)->definition().group_dims,
-                                 &set->view(k)->array().grid()};
-  }
-
-  ConcurrentClockBank clock_bank(num_workers);
-  const CostModel& cost_model = cluster->cost_model();
-  std::optional<ScopedSpan> join_phase_span(std::in_place, "exec.joins",
-                                            "exec");
-  join_phase_span->AddArg("nodes", static_cast<int64_t>(tasks.size()));
-  join_phase_span->AddArg("views", static_cast<int64_t>(num_views));
-  cluster->pool()->ParallelFor(tasks.size(), [&](size_t t) {
-    MultiViewNodeJoinWork& work = *tasks[t];
-    const NodeId k = work.node;
-    ScopedSpan node_span("exec.node_joins", "exec");
-    node_span.AddArg("node", k);
-    std::vector<MultiViewLane> lanes(num_views);
-    const ChunkStore& store = cluster->store(k);
-    for (size_t i : work.join_indices) {
-      const MaintenancePlan::Join& join = plan.joins[i];
-      const JoinPair& pair = triples.pairs[join.pair_index];
-      DistributedArray* a_array = resolver.ArrayOf(pair.a.side).value();
-      DistributedArray* b_array = resolver.ArrayOf(pair.b.side).value();
-      const ChunkHandle a_chunk = store.GetHandle(a_array->id(), pair.a.id);
-      const ChunkHandle b_chunk = store.GetHandle(b_array->id(), pair.b.id);
-      if (a_chunk == nullptr || b_chunk == nullptr) {
-        work.status = Status::Internal(
-            "plan did not co-locate both operands of a join at node " +
-            std::to_string(k));
-        return;
-      }
-      // ONE cpu charge per pair — K views amortize the same operand scan.
-      clock_bank.AddCpu(k, cost_model.JoinSeconds(pair.bytes), pair.bytes);
-      work.bytes_joined += pair.bytes;
-      // Per-pair fragment maps, as in the single-view path, so each view's
-      // merge can run in canonical pair order regardless of placement.
-      work.fragments.emplace_back(
-          KeyOfPair(pair), std::vector<std::map<ChunkId, Chunk>>(num_views));
-      std::vector<std::map<ChunkId, Chunk>>& pair_fragments =
-          work.fragments.back().second;
-      for (size_t v = 0; v < num_views; ++v) {
-        lanes[v] = MultiViewLane{layouts[v], lane_targets[v],
-                                 &pair_fragments[v]};
-      }
-      if (pair.dir_ab) {
-        const RightOperand rop{b_chunk.get(), pair.b.id, &b_array->grid()};
-        work.status = MultiViewJoinAggregateChunkPair(
-            *a_chunk, rop, set_by_array.at(b_array), lanes,
-            /*multiplicity=*/1);
-        if (!work.status.ok()) return;
-        ++work.joins_executed;
-      }
-      if (pair.dir_ba) {
-        const RightOperand rop{a_chunk.get(), pair.a.id, &a_array->grid()};
-        work.status = MultiViewJoinAggregateChunkPair(
-            *b_chunk, rop, set_by_array.at(a_array), lanes,
-            /*multiplicity=*/1);
-        if (!work.status.ok()) return;
-        ++work.joins_executed;
-      }
-    }
-    node_span.AddArg("joins", static_cast<int64_t>(work.joins_executed));
-    node_span.AddArg("bytes_joined",
-                     static_cast<int64_t>(work.bytes_joined));
-  });
-  clock_bank.CommitTo(cluster);
-  join_phase_span.reset();
-  for (const MultiViewNodeJoinWork* work : tasks) {
-    AVM_RETURN_IF_ERROR(work->status);
-    stats.joins_executed += work->joins_executed;
-  }
-
-  // Step 3a: relocate chunk v of EVERY member's view array — the members
-  // are co-gridded, so one planned home applies to each of them and keeps
-  // the whole set co-located for serving.
+  // current node (the y_v reassignment) — chunk v of EVERY member's view
+  // array: the members are co-gridded, so one planned home applies to each
+  // of them and keeps the whole set co-located for serving.
   std::optional<ScopedSpan> merge_span(std::in_place, "exec.view_merge",
                                        "exec");
   for (const auto& [v, home] : plan.view_home) {
@@ -792,11 +537,15 @@ Result<ExecutionStats> ExecuteMultiViewMaintenancePlan(
     }
   }
 
-  // Step 3b: merge per view, each in the single-view path's canonical order
-  // (ascending view ChunkId, then ascending PairKey), so every member's
-  // content is bit-identical to its solo maintenance: the pairs its shape
-  // actually reaches contribute the same fragments in the same order, and
-  // the union-only pairs contribute none.
+  // Step 3b: ship fragments to their view chunk's home and merge, view by
+  // view. Fragments are folded per view chunk in canonical ascending
+  // ChunkId order, each chunk's contributions in ascending PairKey order —
+  // a fixed merge schedule independent of how the join tasks were
+  // interleaved AND of where the planner placed each pair, so the merged
+  // floating-point sums are a pure function of the contributing pair set:
+  // the pairs a member's shape actually reaches contribute the same
+  // fragments in the same order as its solo maintenance, and union-only
+  // pairs contribute none.
   for (size_t k = 0; k < num_views; ++k) {
     Stopwatch merge_clock;
     MaterializedView* member = set->view(k);
@@ -804,7 +553,7 @@ Result<ExecutionStats> ExecuteMultiViewMaintenancePlan(
     std::map<ChunkId,
              std::vector<std::tuple<PairKey, NodeId, const Chunk*>>>
         fragments_by_view_chunk;
-    for (const MultiViewNodeJoinWork* work : tasks) {
+    for (const NodeJoinWork* work : tasks) {
       for (const auto& [key, pair_fragments] : work->fragments) {
         for (const auto& [v, fragment] : pair_fragments[k]) {
           fragments_by_view_chunk[v].push_back({key, work->node, &fragment});
@@ -842,7 +591,10 @@ Result<ExecutionStats> ExecuteMultiViewMaintenancePlan(
   merge_span->AddArg("fragments",
                      static_cast<int64_t>(stats.fragments_merged));
   merge_span.reset();
-  for (MultiViewNodeJoinWork* work : tasks) {
+  // The fragment scratch chunks are dead after the merge; park their buffer
+  // capacity in the pool so the next batch's join phase (which acquires on
+  // the worker threads, see FragmentBuilder) skips the allocator.
+  for (NodeJoinWork* work : tasks) {
     for (auto& [key, pair_fragments] : work->fragments) {
       for (auto& per_view : pair_fragments) {
         for (auto& [v, fragment] : per_view) {
@@ -853,7 +605,8 @@ Result<ExecutionStats> ExecuteMultiViewMaintenancePlan(
     work->fragments.clear();
   }
 
-  // Step 4: stage-3 storage redistribution of base chunks.
+  // Step 4: stage-3 storage redistribution of base chunks (free: the data
+  // was already replicated during maintenance; only primaries change).
   for (const auto& move : plan.array_moves) {
     if (IsDeltaSide(move.chunk.side)) continue;  // handled with the merge
     AVM_RETURN_IF_ERROR(
@@ -863,6 +616,7 @@ Result<ExecutionStats> ExecuteMultiViewMaintenancePlan(
     auto current = catalog->NodeOf(array->id(), move.chunk.id);
     if (!current.ok() || current.value() == move.node) continue;
     if (!cluster->store(move.node).Contains(array->id(), move.chunk.id)) {
+      // The planner promised a replica here; pay for the move otherwise.
       AVM_RETURN_IF_ERROR(cluster->TransferChunk(
           array->id(), move.chunk.id, current.value(), move.node));
     }
@@ -871,17 +625,24 @@ Result<ExecutionStats> ExecuteMultiViewMaintenancePlan(
   }
 
   AVM_RETURN_IF_ERROR(FoldDeltaChunks(plan, resolver, cluster, catalog,
-                                      left_delta, /*right_delta=*/nullptr,
-                                      num_workers, &stats));
+                                      left_delta, right_delta, num_workers,
+                                      &stats));
 
   std::vector<ArrayId> persistent = {primary->left_base().id()};
+  if (primary->right_base().id() != primary->left_base().id()) {
+    persistent.push_back(primary->right_base().id());
+  }
   for (MaterializedView* member : set->views()) {
     persistent.push_back(member->array().id());
   }
   std::vector<ArrayId> transient;
   if (left_delta != nullptr) transient.push_back(left_delta->id());
+  if (right_delta != nullptr) transient.push_back(right_delta->id());
   CleanupReplicas(cluster, catalog, persistent, transient);
 
+  // Post-batch audit: the catalog's bookkeeping for the persistent arrays
+  // must match the physical stores, and no scratch replica may survive the
+  // cleanup above.
   if constexpr (kDebugChecksEnabled) {
     ValidateCatalogStoreConsistency(*catalog, *cluster, persistent);
   }

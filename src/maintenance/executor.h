@@ -15,8 +15,8 @@ namespace avm {
 
 class ShapePrefetch;
 
-/// Per-member breakdown of a multi-view execution: how much of the shared
-/// pass's output landed in each view, and what its merge cost.
+/// Per-member breakdown of one execution: how much of the shared pass's
+/// output landed in each view of the set, and what its merge cost.
 struct ViewExecutionBreakdown {
   std::string view_name;
   uint64_t fragments_merged = 0;   // fragments applied to this view
@@ -36,18 +36,26 @@ struct ExecutionStats {
   /// coordinator. The byte totals are exact, so telemetry consumers (and
   /// tests) can reconcile trace spans against MakespanTracker charges.
   std::vector<NodeActivity> per_node;
-  /// One entry per view-set member on the multi-view path (lane order);
-  /// empty for single-view execution.
+  /// One entry per view-set member (lane order); one entry for a single
+  /// view.
   std::vector<ViewExecutionBreakdown> per_view;
 };
 
-/// Executes a maintenance plan for real against the cluster: performs the
-/// planned transfers (chunks are copied between node stores and senders'
-/// network clocks charged), runs every join direction at its assigned node
-/// (CPU charged there), ships and merges the differential-view fragments
-/// into each view chunk's (possibly new) home, folds the delta chunks into
-/// the base array, applies the stage-3 storage redistribution, and finally
-/// drops all non-primary replicas.
+/// Executes one jointly planned maintenance batch for real against the
+/// cluster, for every member of `set` in a single shared delta pass:
+/// performs the planned transfers (chunks are copied between node stores
+/// and senders' network clocks charged), runs every join pair at its
+/// assigned node, ships and merges the differential-view fragments into each
+/// view chunk's (possibly new) home, folds the delta chunks into the base
+/// arrays, applies the stage-3 storage redistribution, and finally drops
+/// all non-primary replicas. The plan is expressed against the shared base
+/// arrays and the primary's view-chunk geometry, so transfers, delta folds
+/// and cleanup run once; each join pair runs the K-lane kernel, charging its
+/// CPU cost ONCE for every view — the amortization the joint plan priced
+/// in — while demultiplexing matches into per-view fragments; view
+/// relocations and fragment merges apply to every member's array. A single
+/// view is the one-member set: its pairs run the single-view kernel, and
+/// `ExecutionStats::per_view` has one entry.
 ///
 /// The executor validates the plan as it goes: a join whose operands the
 /// plan failed to co-locate, a reference to a delta that was not supplied,
@@ -60,11 +68,12 @@ struct ExecutionStats {
 /// concurrent task, and delta-chunk upserts fan out per chunk. Simulated
 /// clock charges accumulate in a thread-safe bank committed after each
 /// parallel phase, and fragments merge into view chunks in canonical
-/// ascending-ChunkId order, so the resulting view, catalog, and clocks are
+/// ascending-ChunkId order, so the resulting views, catalog, and clocks are
 /// bit-identical to serial execution (--threads 1) regardless of host
-/// scheduling.
+/// scheduling. Per-view fragments are bit-identical to running the
+/// single-view kernel per member (see MultiViewJoinAggregateChunkPair).
 ///
-/// After execution the view's content is exactly the view definition
+/// After execution every member's content is exactly its view definition
 /// evaluated over base+delta (verified against full recomputation in the
 /// test suite), and the catalog reflects every reassignment.
 /// `prefetch`, if given, memoizes compiled-shape lookups for the enclosing
@@ -72,26 +81,10 @@ struct ExecutionStats {
 /// the pass's other kernels instead of re-querying the global cache).
 Result<ExecutionStats> ExecuteMaintenancePlan(const MaintenancePlan& plan,
                                               const TripleSet& triples,
-                                              MaterializedView* view,
+                                              ViewSet* set,
                                               DistributedArray* left_delta,
                                               DistributedArray* right_delta,
                                               ShapePrefetch* prefetch = nullptr);
-
-/// The multi-view counterpart: executes one jointly-planned batch for every
-/// member of `set` in a single shared delta pass. Transfers, delta folds,
-/// and cleanup run once (the plan is expressed against the shared base and
-/// the primary's view-chunk geometry); each join pair runs the K-lane
-/// kernel, charging its CPU cost ONCE — the amortization the joint plan
-/// priced in — while demultiplexing matches into per-view fragments; view
-/// relocations and fragment merges apply to every member's array.
-///
-/// Per-view fragments are bit-identical to running the single-view kernel
-/// per member (see MultiViewJoinAggregateChunkPair), and a K=1 set executes
-/// exactly like ExecuteMaintenancePlan on the primary: same transfers,
-/// joins, merges, and simulated clock charges.
-Result<ExecutionStats> ExecuteMultiViewMaintenancePlan(
-    const MaintenancePlan& plan, const TripleSet& triples, ViewSet* set,
-    DistributedArray* left_delta, ShapePrefetch* prefetch = nullptr);
 
 }  // namespace avm
 

@@ -1,6 +1,8 @@
 #include "maintenance/maintainer.h"
 
+#include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -55,19 +57,40 @@ std::string_view MaintenanceMethodName(MaintenanceMethod method) {
   return "?";
 }
 
+ViewMaintainer::ViewMaintainer(ViewSet* set, MaintenanceMethod method,
+                               PlannerOptions options)
+    : set_(set),
+      method_(method),
+      options_(options),
+      history_(options.history_window) {
+  AVM_CHECK(set != nullptr && !set->empty());
+}
+
 ViewMaintainer::ViewMaintainer(MaterializedView* view,
                                MaintenanceMethod method,
                                PlannerOptions options)
-    : view_(view),
+    : owned_set_(std::make_unique<ViewSet>(view)),
+      set_(owned_set_.get()),
       method_(method),
       options_(options),
       history_(options.history_window) {}
 
+uint64_t ViewMaintainer::PublishSet() {
+  if (epoch_manager_ == nullptr) return 0;
+  std::vector<ViewPin> pins;
+  pins.reserve(set_->size());
+  for (const MaterializedView* member : set_->views()) {
+    pins.push_back(EpochManager::PinView(*member));
+  }
+  return epoch_manager_->Publish(std::move(pins));
+}
+
 Result<MaintenanceReport> ViewMaintainer::ApplyBatch(
     const SparseArray& left_delta_cells,
     const SparseArray* right_delta_cells) {
-  Catalog* catalog = view_->array().catalog();
-  Cluster* cluster = view_->array().cluster();
+  MaterializedView* primary = set_->primary();
+  Catalog* catalog = primary->array().catalog();
+  Cluster* cluster = primary->array().cluster();
   const int num_workers = cluster->num_workers();
   const std::string tag = "__delta" + std::to_string(batch_counter_++);
   // One pass-scoped shape memo serves every compile site of this batch
@@ -84,6 +107,7 @@ Result<MaintenanceReport> ViewMaintainer::ApplyBatch(
   Stopwatch batch_clock;
   ScopedSpan batch_span("maint.batch", "maint");
   batch_span.AddArg("batch", static_cast<int64_t>(batch_counter_ - 1));
+  batch_span.AddArg("views", static_cast<int64_t>(set_->size()));
 
   MaintenanceReport report;
   report.delta_cells = left_delta_cells.NumCells() +
@@ -92,58 +116,63 @@ Result<MaintenanceReport> ViewMaintainer::ApplyBatch(
                             : 0);
 
   // Split the raw batches into pure inserts and overwrites of existing
-  // cells; the latter take the value-correction path after the insert-side
-  // maintenance (see maintenance/modifications.h).
+  // cells — each base once for all K members; the overwrites take the
+  // value-correction path after the insert-side maintenance (see
+  // maintenance/modifications.h).
   std::optional<ScopedSpan> split_span(std::in_place, "maint.split", "maint");
-  SparseArray left_ins(view_->left_base().schema());
-  SparseArray lmod_old(view_->left_base().schema());
-  SparseArray lmod_new(view_->left_base().schema());
-  AVM_RETURN_IF_ERROR(SplitInsertsAndModifications(view_->left_base(),
+  SparseArray left_ins(primary->left_base().schema());
+  SparseArray lmod_old(primary->left_base().schema());
+  SparseArray lmod_new(primary->left_base().schema());
+  AVM_RETURN_IF_ERROR(SplitInsertsAndModifications(primary->left_base(),
                                                    left_delta_cells, &left_ins,
                                                    &lmod_old, &lmod_new)
                           .status());
-  SparseArray right_ins(view_->right_base().schema());
-  SparseArray rmod_old(view_->right_base().schema());
-  SparseArray rmod_new(view_->right_base().schema());
+  SparseArray right_ins(primary->right_base().schema());
+  SparseArray rmod_old(primary->right_base().schema());
+  SparseArray rmod_new(primary->right_base().schema());
   if (right_delta_cells != nullptr) {
     AVM_RETURN_IF_ERROR(
-        SplitInsertsAndModifications(view_->right_base(), *right_delta_cells,
-                                     &right_ins, &rmod_old, &rmod_new)
+        SplitInsertsAndModifications(primary->right_base(),
+                                     *right_delta_cells, &right_ins,
+                                     &rmod_old, &rmod_new)
             .status());
   }
   report.modified_cells = lmod_new.NumCells() + rmod_new.NumCells();
   split_span.reset();
 
-  // Ingest the insert sides at the coordinator as transient delta arrays.
+  // Ingest the insert sides at the coordinator as transient delta arrays
+  // shared by every member.
   std::optional<ScopedSpan> ingest_span(std::in_place, "maint.ingest",
                                         "maint");
   AVM_ASSIGN_OR_RETURN(
       DistributedArray left_delta,
-      IngestDelta(left_ins, view_->left_base(),
-                  view_->definition().left_array + tag, catalog, cluster));
+      IngestDelta(left_ins, primary->left_base(),
+                  primary->definition().left_array + tag, catalog, cluster));
   std::optional<DistributedArray> right_delta;
   if (right_delta_cells != nullptr) {
     AVM_ASSIGN_OR_RETURN(
         DistributedArray rd,
-        IngestDelta(right_ins, view_->right_base(),
-                    view_->definition().right_array + tag, catalog, cluster));
+        IngestDelta(right_ins, primary->right_base(),
+                    primary->definition().right_array + tag, catalog,
+                    cluster));
     right_delta = std::move(rd);
   }
+  DistributedArray* right_delta_ptr =
+      right_delta.has_value() ? &*right_delta : nullptr;
   report.num_delta_chunks =
       left_delta.NumChunks() +
       (right_delta.has_value() ? right_delta->NumChunks() : 0);
   ingest_span.reset();
 
-  // Metadata preprocessing: the update triples U_0.
+  // Metadata preprocessing: the update triples U_0, jointly under the
+  // members' union shape.
   Stopwatch triple_clock;
   TripleSet triples;
   {
     ScopedSpan triple_span("plan.triples", "plan");
-    AVM_ASSIGN_OR_RETURN(
-        TripleSet triples_tmp,
-        GenerateTriples(*view_, &left_delta,
-                        right_delta.has_value() ? &*right_delta : nullptr,
-                        &footprint_cache_));
+    AVM_ASSIGN_OR_RETURN(TripleSet triples_tmp,
+                         GenerateTriples(*set_, &left_delta, right_delta_ptr,
+                                         &footprint_cache_));
     triples = std::move(triples_tmp);
     triple_span.AddArg("pairs", static_cast<int64_t>(triples.pairs.size()));
   }
@@ -154,60 +183,46 @@ Result<MaintenanceReport> ViewMaintainer::ApplyBatch(
     ValidateTripleSet(triples, num_workers);
   }
 
-  // Plan. In Debug/test builds every planner stage is followed by the
-  // structural validator — Algorithms 1-3 each preserve the plan contract,
-  // so a violation pinpoints the stage that broke it.
+  // Plan JOINTLY: the triples already price each shared base-chunk transfer
+  // once and each pair's CPU once (view bytes sum over members), so the
+  // planners optimize the whole set's makespan as-is. In Debug/test builds
+  // every planner stage is followed by the structural validator —
+  // Algorithms 1-3 each preserve the plan contract, so a violation
+  // pinpoints the stage that broke it.
   Stopwatch plan_clock;
   MaintenancePlan plan;
-  std::unordered_map<MChunkRef, std::set<NodeId>, MChunkRefHash> replicas;
   const CostModel* cost = &cluster->cost_model();
-  switch (method_) {
-    case MaintenanceMethod::kBaseline: {
-      ScopedSpan stage_span("plan.baseline", "plan");
-      AVM_ASSIGN_OR_RETURN(plan,
-                           PlanBaseline(*view_, triples, num_workers));
-      break;
-    }
-    case MaintenanceMethod::kDifferential: {
+  if (method_ == MaintenanceMethod::kBaseline) {
+    ScopedSpan stage_span("plan.baseline", "plan");
+    AVM_ASSIGN_OR_RETURN(plan, PlanBaseline(*primary, triples, num_workers));
+  } else {
+    std::optional<DifferentialPlanResult> stage1;
+    {
       ScopedSpan stage_span("plan.stage1", "plan");
       AVM_ASSIGN_OR_RETURN(
-          DifferentialPlanResult stage1,
-          PlanDifferentialView(*view_, triples, num_workers,
-                               cluster->cost_model(), options_));
-      plan = std::move(stage1.plan);
-      break;
+          DifferentialPlanResult result,
+          PlanDifferentialView(*primary, triples, num_workers, *cost,
+                               options_));
+      stage1 = std::move(result);
     }
-    case MaintenanceMethod::kReassign: {
-      std::optional<DifferentialPlanResult> stage1;
-      {
-        ScopedSpan stage_span("plan.stage1", "plan");
-        AVM_ASSIGN_OR_RETURN(
-            DifferentialPlanResult result,
-            PlanDifferentialView(*view_, triples, num_workers,
-                                 cluster->cost_model(), options_));
-        stage1 = std::move(result);
-      }
-      plan = std::move(stage1->plan);
-      replicas = std::move(stage1->replicas);
+    plan = std::move(stage1->plan);
+    if (method_ == MaintenanceMethod::kReassign) {
       if constexpr (kDebugChecksEnabled) {
         ValidateMaintenancePlan(plan, triples, num_workers, cost);
       }
       {
         ScopedSpan stage_span("plan.stage2", "plan");
-        AVM_RETURN_IF_ERROR(ReassignViewChunks(triples, num_workers,
-                                               cluster->cost_model(), options_,
-                                               &stage1->tracker, &plan));
+        AVM_RETURN_IF_ERROR(ReassignViewChunks(triples, num_workers, *cost,
+                                               options_, &stage1->tracker,
+                                               &plan));
       }
       if constexpr (kDebugChecksEnabled) {
         ValidateMaintenancePlan(plan, triples, num_workers, cost);
       }
-      {
-        ScopedSpan stage_span("plan.stage3", "plan");
-        AVM_RETURN_IF_ERROR(ReassignArrayChunks(*view_, triples, history_,
-                                                num_workers, options_, *cost,
-                                                replicas, &plan));
-      }
-      break;
+      ScopedSpan stage_span("plan.stage3", "plan");
+      AVM_RETURN_IF_ERROR(ReassignArrayChunks(*primary, triples, history_,
+                                              num_workers, options_, *cost,
+                                              stage1->replicas, &plan));
     }
   }
   if constexpr (kDebugChecksEnabled) {
@@ -215,35 +230,39 @@ Result<MaintenanceReport> ViewMaintainer::ApplyBatch(
   }
   report.planning_seconds = plan_clock.ElapsedSeconds();
 
-  // Execute against the cluster and measure the batch's simulated makespan
-  // plus the real wall-clock the (possibly multi-threaded) execution took.
+  // Execute — one shared delta pass folding into all K views — and measure
+  // the batch's simulated makespan plus the real wall-clock the (possibly
+  // multi-threaded) execution took.
   const ClusterClockSnapshot before = ClusterClockSnapshot::Take(*cluster);
   Stopwatch exec_clock;
-  auto exec = ExecuteMaintenancePlan(
-      plan, triples, view_, &left_delta,
-      right_delta.has_value() ? &*right_delta : nullptr, &prefetch);
+  auto exec = ExecuteMaintenancePlan(plan, triples, set_, &left_delta,
+                                     right_delta_ptr, &prefetch);
   if (!exec.ok()) return exec.status();
   report.execution_wall_seconds = exec_clock.ElapsedSeconds();
   report.exec = exec.value();
 
   // Value corrections for overwritten cells (after the insert merge, so
-  // fresh cells are corrected too). Still inside the measured window.
+  // fresh cells are corrected too), per member. Still inside the measured
+  // window. Looping is correct here — unlike deletions, a correction pass
+  // reads only which base cells exist, never their values, and the final
+  // upserts are idempotent.
   std::optional<ScopedSpan> mods_span(std::in_place, "maint.modifications",
                                       "maint");
   mods_span->AddArg("cells", static_cast<int64_t>(report.modified_cells));
-  if (view_->definition().IsSelfJoin()) {
+  const bool self_join = primary->definition().IsSelfJoin();
+  for (MaterializedView* member : set_->views()) {
     if (lmod_new.NumCells() > 0) {
-      AVM_RETURN_IF_ERROR(
-          ApplyRightSideModifications(view_, lmod_old, lmod_new, &prefetch)
-              .status());
-    }
-  } else {
-    if (lmod_new.NumCells() > 0) {
-      AVM_RETURN_IF_ERROR(ApplyLeftSideModifications(view_, lmod_new));
+      if (self_join) {
+        AVM_RETURN_IF_ERROR(
+            ApplyRightSideModifications(member, lmod_old, lmod_new, &prefetch)
+                .status());
+      } else {
+        AVM_RETURN_IF_ERROR(ApplyLeftSideModifications(member, lmod_new));
+      }
     }
     if (rmod_new.NumCells() > 0) {
       AVM_RETURN_IF_ERROR(
-          ApplyRightSideModifications(view_, rmod_old, rmod_new, &prefetch)
+          ApplyRightSideModifications(member, rmod_old, rmod_new, &prefetch)
               .status());
     }
   }
@@ -258,15 +277,11 @@ Result<MaintenanceReport> ViewMaintainer::ApplyBatch(
   catalog->UnregisterArray(left_delta.id());
   if (right_delta.has_value()) catalog->UnregisterArray(right_delta->id());
 
-  // Batch commit: publish the post-batch view version as a new epoch, so
-  // concurrent snapshot readers atomically flip to it. Readers pinning the
-  // pre-batch epoch keep their handles (the mutations above COW'd around
-  // them) until their snapshots drop.
-  if (epoch_manager_ != nullptr) {
-    std::vector<ViewPin> pins;
-    pins.push_back(EpochManager::PinView(*view_));
-    report.published_epoch = epoch_manager_->Publish(std::move(pins));
-  }
+  // Batch commit: ONE epoch carrying every member, so concurrent snapshot
+  // readers flip from the pre-batch set to the post-batch set atomically.
+  // Readers pinning the pre-batch epoch keep their handles (the mutations
+  // above COW'd around them) until their snapshots drop.
+  report.published_epoch = PublishSet();
 
   // Per-batch activity breakdown: simulated per-node clock deltas over the
   // whole batch window (always; exact bytes), plus registry counter deltas
@@ -296,16 +311,9 @@ Result<MaintenanceReport> ViewMaintainer::ApplyBatch(
     // store (workers + coordinator). Scanned here — once per batch — rather
     // than delta-tracked at every mutation site.
     ChunkStore::FormatResidency residency;
-    for (NodeId n = 0; n < cluster->num_workers(); ++n) {
+    for (NodeId n = kCoordinatorNode; n < cluster->num_workers(); ++n) {
       const ChunkStore::FormatResidency r =
           cluster->store(n).ResidencyByFormat();
-      residency.sparse_bytes += r.sparse_bytes;
-      residency.dense_bytes += r.dense_bytes;
-      residency.spilled_bytes += r.spilled_bytes;
-    }
-    {
-      const ChunkStore::FormatResidency r =
-          cluster->store(kCoordinatorNode).ResidencyByFormat();
       residency.sparse_bytes += r.sparse_bytes;
       residency.dense_bytes += r.dense_bytes;
       residency.spilled_bytes += r.spilled_bytes;
@@ -323,6 +331,15 @@ Result<MaintenanceReport> ViewMaintainer::ApplyBatch(
   }
 
   return report;
+}
+
+Result<DeletionStats> ViewMaintainer::ApplyDeletions(
+    const SparseArray& deleted_cells) {
+  ShapePrefetch prefetch;
+  AVM_ASSIGN_OR_RETURN(DeletionStats stats,
+                       ApplyDeletionBatch(set_, deleted_cells, &prefetch));
+  PublishSet();
+  return stats;
 }
 
 }  // namespace avm

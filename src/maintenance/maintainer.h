@@ -1,16 +1,19 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "array/sparse_array.h"
 #include "common/result.h"
+#include "maintenance/deletions.h"
 #include "maintenance/executor.h"
 #include "maintenance/history.h"
 #include "maintenance/triple_gen.h"
 #include "maintenance/types.h"
 #include "serve/epoch_manager.h"
 #include "view/materialized_view.h"
+#include "view/view_set.h"
 
 namespace avm {
 
@@ -100,51 +103,77 @@ struct MaintenanceReport {
   /// attached (batch-only mode, no concurrent serving).
   uint64_t published_epoch = 0;
 
-  /// Per-view execution breakdown (fragment merge timing/bytes per member).
-  /// Empty on the single-view maintenance path; one entry per set member
-  /// when maintained through a MultiViewMaintainer.
+  /// Per-view execution breakdown (fragment merge timing/bytes per member):
+  /// one entry per member of the maintained view set, so one entry for a
+  /// single view.
   const std::vector<ViewExecutionBreakdown>& per_view_breakdown() const {
     return exec.per_view;
   }
 };
 
-/// Keeps one materialized view consistent under cyclic batch updates using a
-/// fixed maintenance method. Owns the historical batch window that
-/// Algorithm 3 consumes. Typical use:
+/// Keeps a view set — or a single materialized view, the one-member set —
+/// consistent under cyclic batch updates using a fixed maintenance method.
+/// Owns the historical batch window that Algorithm 3 consumes. Typical use:
 ///
 ///   ViewMaintainer maintainer(&view, MaintenanceMethod::kReassign, opts);
 ///   for (const SparseArray& batch : nightly_batches) {
 ///     AVM_ASSIGN_OR_RETURN(auto report, maintainer.ApplyBatch(batch));
 ///   }
+///
+/// Every batch takes one *shared delta pass* over the whole set: it is
+/// ingested once, planned once (jointly, under the members' union shape —
+/// one transfer of a base chunk amortizes across every view, and the cost
+/// model charges shared operands once), and executed once with the K-lane
+/// kernel demultiplexing matches into per-view fragments. All members
+/// commit as ONE epoch per batch, so snapshot readers never observe a torn
+/// view set. At K=1 every stage does exactly the single-view work: the
+/// member's own shape, its cached compilation, the single-view kernel.
 class ViewMaintainer {
  public:
+  /// Maintains every member of `set` (non-empty; borrowed, must outlive
+  /// the maintainer).
+  ViewMaintainer(ViewSet* set, MaintenanceMethod method,
+                 PlannerOptions options = PlannerOptions());
+  /// Maintains `view` alone, as a one-member set the maintainer owns.
   ViewMaintainer(MaterializedView* view, MaintenanceMethod method,
                  PlannerOptions options = PlannerOptions());
 
   MaintenanceMethod method() const { return method_; }
   const PlannerOptions& options() const { return options_; }
   const BatchHistory& history() const { return history_; }
+  ViewSet* set() const { return set_; }
 
-  /// Integrates one batch of inserts into the base array(s) and brings the
-  /// view up to date. `left_delta_cells` updates the view's left (or only)
-  /// base array; `right_delta_cells`, if given, the right array of a
-  /// two-array view.
+  /// Integrates one batch of inserts/overwrites into the base array(s) and
+  /// brings every member view up to date. `left_delta_cells` updates the
+  /// views' left (or only) base array; `right_delta_cells`, if given, the
+  /// right array of two-array views. The report's `per_view_breakdown()`
+  /// carries per-member merge timing and bytes.
   Result<MaintenanceReport> ApplyBatch(
       const SparseArray& left_delta_cells,
       const SparseArray* right_delta_cells = nullptr);
 
-  /// Turns batch commits into epoch publishes: after every successful
-  /// ApplyBatch the maintainer pins the view's chunks and swaps a fresh
-  /// epoch into `manager`, so snapshot readers flip from the pre-batch view
-  /// version to the post-batch one atomically. Pass nullptr to detach.
-  /// The manager must outlive the maintainer (or the detach). Callers that
-  /// publish several views as one set (AqlSession) publish through the
-  /// manager themselves instead of attaching per-view maintainers.
+  /// Deletes a batch of existing cells from the shared base and retracts
+  /// their contributions from every member in one shared pass (see
+  /// ApplyDeletionBatch). Publishes an epoch if a manager is attached.
+  Result<DeletionStats> ApplyDeletions(const SparseArray& deleted_cells);
+
+  /// Turns batch commits into epoch publishes carrying ALL members: after
+  /// every successful ApplyBatch/ApplyDeletions the maintainer pins each
+  /// member's chunks and swaps one fresh epoch into `manager`, so snapshot
+  /// readers flip from the pre-batch set version to the post-batch one
+  /// atomically. Pass nullptr to detach. The manager must outlive the
+  /// maintainer (or the detach). Callers that publish several sets as one
+  /// epoch (AqlSession) publish through the manager themselves instead of
+  /// attaching per-set maintainers.
   void AttachEpochManager(EpochManager* manager) { epoch_manager_ = manager; }
   EpochManager* epoch_manager() const { return epoch_manager_; }
 
  private:
-  MaterializedView* view_;
+  /// Pins every member and publishes one epoch (0 without a manager).
+  uint64_t PublishSet();
+
+  std::unique_ptr<ViewSet> owned_set_;  // the one-member set of a view
+  ViewSet* set_;
   MaintenanceMethod method_;
   PlannerOptions options_;
   BatchHistory history_;

@@ -170,14 +170,22 @@ Box DomainBoxOf(const ArraySchema& schema) {
   return box;
 }
 
-/// The shared body: enumerates pairs under `shape` (the view's own shape for
-/// a single view, the members' union for a set) and records chunk metadata
-/// against `view_arrays`.
-Result<TripleSet> GenerateTriplesImpl(
-    const MaterializedView& view, const Shape& shape,
-    std::span<const DistributedArray* const> view_arrays,
-    const DistributedArray* left_delta, const DistributedArray* right_delta,
-    TripleGenCache* cache) {
+}  // namespace
+
+Result<TripleSet> GenerateTriples(const ViewSet& set,
+                                  const DistributedArray* left_delta,
+                                  const DistributedArray* right_delta,
+                                  TripleGenCache* cache) {
+  if (set.empty()) return Status::FailedPrecondition("empty view set");
+  // Pairs are enumerated under the members' union (the view's own shape at
+  // K=1) and record chunk metadata against every member's view array.
+  const MaterializedView& view = *set.primary();
+  const Shape& shape = set.union_shape();
+  std::vector<const DistributedArray*> view_arrays;
+  view_arrays.reserve(set.size());
+  for (const MaterializedView* member : set.views()) {
+    view_arrays.push_back(&member->array());
+  }
   const ViewDefinition& def = view.definition();
   if (def.IsSelfJoin() && right_delta != nullptr) {
     return Status::InvalidArgument(
@@ -217,10 +225,11 @@ Result<TripleSet> GenerateTriplesImpl(
     // Identity self-joins over the (necessarily aligned) base grid use the
     // exact chunk footprint: non-convex shapes prune the pairs their
     // bounding box over-approximates. The footprints only depend on the
-    // view's shape, so a caller-provided cache persists them across batches.
+    // union shape, so a caller-provided cache persists them across batches
+    // until a member joins the set.
     TripleGenCache local_cache;
     TripleGenCache* fps = cache != nullptr ? cache : &local_cache;
-    if (!fps->initialized && def.mapping.IsIdentity()) {
+    if (fps->num_views != set.size() && def.mapping.IsIdentity()) {
       AVM_ASSIGN_OR_RETURN(
           ChunkFootprint fp,
           ChunkFootprint::Compute(shape, lgrid.extents()));
@@ -229,7 +238,7 @@ Result<TripleSet> GenerateTriplesImpl(
           ChunkFootprint rfp,
           ChunkFootprint::Compute(reflected, lgrid.extents()));
       fps->reflected = std::move(rfp);
-      fps->initialized = true;
+      fps->num_views = set.size();
     }
     const std::optional<ChunkFootprint>& footprint = fps->footprint;
     const std::optional<ChunkFootprint>& reflected_footprint = fps->reflected;
@@ -313,31 +322,6 @@ Result<TripleSet> GenerateTriplesImpl(
     }
   }
   return collector.Finish();
-}
-
-}  // namespace
-
-Result<TripleSet> GenerateTriples(const MaterializedView& view,
-                                  const DistributedArray* left_delta,
-                                  const DistributedArray* right_delta,
-                                  TripleGenCache* cache) {
-  const DistributedArray* view_arrays[] = {&view.array()};
-  return GenerateTriplesImpl(view, view.definition().shape, view_arrays,
-                             left_delta, right_delta, cache);
-}
-
-Result<TripleSet> GenerateTriplesForSet(const ViewSet& set,
-                                        const DistributedArray* left_delta,
-                                        TripleGenCache* cache) {
-  if (set.empty()) return Status::FailedPrecondition("empty view set");
-  AVM_ASSIGN_OR_RETURN(Shape union_shape, set.UnionShape());
-  std::vector<const DistributedArray*> view_arrays;
-  view_arrays.reserve(set.size());
-  for (MaterializedView* member : set.views()) {
-    view_arrays.push_back(&member->array());
-  }
-  return GenerateTriplesImpl(*set.primary(), union_shape, view_arrays,
-                             left_delta, /*right_delta=*/nullptr, cache);
 }
 
 }  // namespace avm

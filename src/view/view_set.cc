@@ -1,5 +1,7 @@
 #include "view/view_set.h"
 
+#include "common/check.h"
+
 namespace avm {
 
 namespace {
@@ -18,61 +20,67 @@ bool SameMapping(const DimMapping& a, const DimMapping& b) {
 
 }  // namespace
 
+ViewSet::ViewSet(MaterializedView* view) {
+  AVM_CHECK(view != nullptr);
+  views_.push_back(view);
+}
+
 Status ViewSet::AddView(MaterializedView* view) {
   if (view == nullptr) return Status::InvalidArgument("null view");
   if (views_.size() >= kMaxViews) {
     return Status::InvalidArgument(
         "view set is full (acceptance masks carry at most 64 views)");
   }
-  // The shared pass relies on deletion/modification handling that is only
-  // defined for identity self-joins (matching ApplyDeletionBatch).
+  if (views_.empty()) {
+    views_.push_back(view);
+    return Status::OK();
+  }
   const ViewDefinition& def = view->definition();
-  if (!def.IsSelfJoin() || !def.mapping.IsIdentity()) {
-    return Status::Unimplemented(
-        "view sets require identity self-join views");
+  const MaterializedView& head = *views_.front();
+  const ViewDefinition& head_def = head.definition();
+  if (view->left_base().id() != head.left_base().id()) {
+    return Status::InvalidArgument(
+        "view set members must share one left base array");
   }
-  if (!views_.empty()) {
-    const MaterializedView& head = *views_.front();
-    const ViewDefinition& head_def = head.definition();
-    if (view->left_base().id() != head.left_base().id()) {
-      return Status::InvalidArgument(
-          "view set members must share one base array");
-    }
-    if (!SameMapping(def.mapping, head_def.mapping)) {
-      return Status::InvalidArgument(
-          "view set members must share the join mapping");
-    }
-    if (def.group_dims != head_def.group_dims) {
-      return Status::InvalidArgument(
-          "view set members must share the group dimensions");
-    }
-    if (view->array().grid().extents() != head.array().grid().extents()) {
-      return Status::InvalidArgument(
-          "view set members must share the view chunk grid");
-    }
-    if (def.shape.num_dims() != head_def.shape.num_dims()) {
-      return Status::InvalidArgument(
-          "view set members must share the shape dimensionality");
-    }
-    for (const MaterializedView* existing : views_) {
-      if (existing == view ||
-          existing->definition().view_name == def.view_name) {
-        return Status::InvalidArgument("view is already a set member");
-      }
+  if (view->right_base().id() != head.right_base().id()) {
+    return Status::InvalidArgument(
+        "view set members must share one right base array");
+  }
+  if (!SameMapping(def.mapping, head_def.mapping)) {
+    return Status::InvalidArgument(
+        "view set members must share the join mapping");
+  }
+  if (def.group_dims != head_def.group_dims) {
+    return Status::InvalidArgument(
+        "view set members must share the group dimensions");
+  }
+  if (view->array().grid().extents() != head.array().grid().extents()) {
+    return Status::InvalidArgument(
+        "view set members must share the view chunk grid");
+  }
+  if (def.shape.num_dims() != head_def.shape.num_dims()) {
+    return Status::InvalidArgument(
+        "view set members must share the shape dimensionality");
+  }
+  for (const MaterializedView* existing : views_) {
+    if (existing == view ||
+        existing->definition().view_name == def.view_name) {
+      return Status::InvalidArgument("view is already a set member");
     }
   }
+  AVM_ASSIGN_OR_RETURN(Shape u, Shape::Union(union_shape(), def.shape));
+  union_ = std::move(u);
   views_.push_back(view);
   return Status::OK();
 }
 
-Result<Shape> ViewSet::UnionShape() const {
-  if (views_.empty()) return Status::FailedPrecondition("empty view set");
-  Shape u = views_.front()->definition().shape;
-  for (size_t k = 1; k < views_.size(); ++k) {
-    AVM_ASSIGN_OR_RETURN(u,
-                         Shape::Union(u, views_[k]->definition().shape));
+std::vector<const Shape*> ViewSet::shapes() const {
+  std::vector<const Shape*> out;
+  out.reserve(views_.size());
+  for (const MaterializedView* member : views_) {
+    out.push_back(&member->definition().shape);
   }
-  return u;
+  return out;
 }
 
 }  // namespace avm

@@ -201,6 +201,30 @@ TEST_F(AqlSessionTest, WindowedShapeResolves) {
   EXPECT_FALSE(view->definition().shape.IsSymmetric());
 }
 
+TEST_F(AqlSessionTest, RejectsViewOverView) {
+  ASSERT_OK(session_.Execute("CREATE ARRAY A <r> [i=1,10,5; j=1,10,5]")
+                .status());
+  ASSERT_OK(session_
+                .Execute("CREATE ARRAY VIEW V AS SELECT COUNT(*) AS cnt "
+                         "FROM A SIMILARITY JOIN A WITH SHAPE L1(1)")
+                .status());
+  // Nothing maintains a view over V (InsertCells into A maintains only the
+  // views over A), so accepting W would publish a stale view forever.
+  EXPECT_TRUE(session_
+                  .Execute("CREATE ARRAY VIEW W AS SELECT COUNT(*) AS cnt "
+                           "FROM V SIMILARITY JOIN V WITH SHAPE L1(1)")
+                  .status()
+                  .IsUnimplemented());
+  EXPECT_TRUE(session_
+                  .Execute("CREATE ARRAY VIEW W AS SELECT COUNT(*) AS cnt "
+                           "FROM A SIMILARITY JOIN V WITH SHAPE L1(1)")
+                  .status()
+                  .IsUnimplemented());
+  EXPECT_EQ(session_.GetView("W"), nullptr);
+  EXPECT_EQ(session_.num_views(), 1u);
+  EXPECT_TRUE(catalog_.ArrayIdByName("W").status().IsNotFound());
+}
+
 TEST_F(AqlSessionTest, RejectsUnknownNames) {
   EXPECT_TRUE(session_
                   .Execute("CREATE ARRAY VIEW V AS SELECT COUNT(*) FROM "

@@ -18,7 +18,6 @@
 #include "common/check.h"
 #include "maintenance/deletions.h"
 #include "maintenance/maintainer.h"
-#include "maintenance/multi_view_maintainer.h"
 #include "tests/test_util.h"
 #include "view/view_set.h"
 
@@ -244,7 +243,7 @@ TEST_P(SetDifferentialOracleTest, SharedPassAgreesWithSoloLanes) {
       testing_util::ViewSetFixture set_fixture,
       testing_util::MakeViewSetFixture(4, 120, shapes, seed,
                                        /*with_sum=*/true, "range"));
-  MultiViewMaintainer set_maintainer(set_fixture.set.get(), method);
+  ViewMaintainer set_maintainer(set_fixture.set.get(), method);
 
   // K solo lanes: identical universes (same seed), one view each.
   std::vector<Lane> solo_lanes;

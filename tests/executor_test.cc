@@ -15,6 +15,16 @@ namespace {
 
 using testing_util::MakeCountViewFixture;
 
+/// Executes `plan` for `view` alone: the one-member set's pass.
+Result<ExecutionStats> ExecuteForView(const MaintenancePlan& plan,
+                                      const TripleSet& triples,
+                                      MaterializedView* view,
+                                      DistributedArray* left_delta,
+                                      DistributedArray* right_delta) {
+  ViewSet set(view);
+  return ExecuteMaintenancePlan(plan, triples, &set, left_delta, right_delta);
+}
+
 /// Executes a deliberately malformed plan and expects rejection. In
 /// Debug/test builds the structural validator at the executor entry fires
 /// first (surfaced through the throwing handler); in Release the executor's
@@ -25,14 +35,12 @@ void ExpectPlanRejected(const MaintenancePlan& plan, const TripleSet& triples,
                         std::string_view expected_message = {}) {
   if constexpr (kDebugChecksEnabled) {
     ScopedThrowingCheckHandler guard;
-    EXPECT_THROW(ExecuteMaintenancePlan(plan, triples, view, left_delta,
-                                        right_delta)
+    EXPECT_THROW(ExecuteForView(plan, triples, view, left_delta, right_delta)
                      .status(),
                  CheckFailedError);
   } else {
     auto status =
-        ExecuteMaintenancePlan(plan, triples, view, left_delta, right_delta)
-            .status();
+        ExecuteForView(plan, triples, view, left_delta, right_delta).status();
     EXPECT_TRUE(status.IsInternal()) << status.ToString();
     if (!expected_message.empty()) {
       EXPECT_EQ(status.message(), expected_message);
@@ -69,8 +77,8 @@ Result<ExecFixture> MakeExecFixture(uint64_t seed, size_t base_cells = 80,
   AVM_RETURN_IF_ERROR(status);
   out.delta = std::make_unique<DistributedArray>(std::move(delta));
   AVM_ASSIGN_OR_RETURN(out.triples,
-                       GenerateTriples(*out.fixture.view, out.delta.get(),
-                                       nullptr));
+                       GenerateTriples(ViewSet(out.fixture.view.get()),
+                                       out.delta.get(), nullptr));
   return out;
 }
 
@@ -81,9 +89,9 @@ TEST(ExecutorTest, ExecutesBaselinePlanAndReportsStats) {
       PlanBaseline(*exec_fixture.fixture.view, exec_fixture.triples, 3));
   ASSERT_OK_AND_ASSIGN(
       ExecutionStats stats,
-      ExecuteMaintenancePlan(plan, exec_fixture.triples,
-                             exec_fixture.fixture.view.get(),
-                             exec_fixture.delta.get(), nullptr));
+      ExecuteForView(plan, exec_fixture.triples,
+                     exec_fixture.fixture.view.get(),
+                     exec_fixture.delta.get(), nullptr));
   EXPECT_GT(stats.joins_executed, 0u);
   EXPECT_GT(stats.delta_chunks_merged, 0u);
   EXPECT_TRUE(testing_util::ViewMatchesRecompute(*exec_fixture.fixture.view));
@@ -134,8 +142,8 @@ TEST(ExecutorTest, EmptyPlanStillMergesDeltaChunks) {
   MaintenancePlan empty_plan;
   ASSERT_OK_AND_ASSIGN(
       ExecutionStats stats,
-      ExecuteMaintenancePlan(empty_plan, empty_triples, fixture.view.get(),
-                             &delta, nullptr));
+      ExecuteForView(empty_plan, empty_triples, fixture.view.get(), &delta,
+                     nullptr));
   EXPECT_EQ(stats.joins_executed, 0u);
   EXPECT_EQ(stats.delta_chunks_merged, 1u);
   ASSERT_OK_AND_ASSIGN(SparseArray base_now,
@@ -169,8 +177,8 @@ TEST(ExecutorTest, FreshBaseDeltaFoldAliasesInsteadOfCopying) {
   MaintenancePlan empty_plan;
   ASSERT_OK_AND_ASSIGN(
       ExecutionStats stats,
-      ExecuteMaintenancePlan(empty_plan, empty_triples, fixture.view.get(),
-                             &delta, nullptr));
+      ExecuteForView(empty_plan, empty_triples, fixture.view.get(), &delta,
+                     nullptr));
   const MetricsSnapshot snapshot = MetricsRegistry::Global().Snapshot();
   DisableTelemetry();
 
@@ -196,9 +204,9 @@ TEST(ExecutorTest, ViewHomeRelocationMovesChunkAndCatalog) {
       MaintenancePlan plan,
       PlanBaseline(*exec_fixture.fixture.view, exec_fixture.triples, 3));
   for (auto& [v, home] : plan.view_home) home = 2;
-  ASSERT_OK(ExecuteMaintenancePlan(plan, exec_fixture.triples,
-                                   exec_fixture.fixture.view.get(),
-                                   exec_fixture.delta.get(), nullptr)
+  ASSERT_OK(ExecuteForView(plan, exec_fixture.triples,
+                           exec_fixture.fixture.view.get(),
+                           exec_fixture.delta.get(), nullptr)
                 .status());
   for (const auto& [v, home] : plan.view_home) {
     EXPECT_EQ(catalog->NodeOf(view_id, v).value(), 2);
@@ -306,8 +314,8 @@ TEST(ExecutorTest, EmptyPlanWithoutDeltasIsANoOp) {
   MaintenancePlan empty_plan;
   ASSERT_OK_AND_ASSIGN(
       ExecutionStats stats,
-      ExecuteMaintenancePlan(empty_plan, empty_triples, fixture.view.get(),
-                             nullptr, nullptr));
+      ExecuteForView(empty_plan, empty_triples, fixture.view.get(), nullptr,
+                     nullptr));
   EXPECT_EQ(stats.joins_executed, 0u);
   EXPECT_EQ(stats.fragments_merged, 0u);
   EXPECT_EQ(stats.delta_chunks_merged, 0u);
@@ -340,14 +348,13 @@ TEST(ExecutorTest, ParallelExecutionMatchesSerialBitForBit) {
     });
     AVM_RETURN_IF_ERROR(status);
     f.delta = std::make_unique<DistributedArray>(std::move(delta));
-    AVM_ASSIGN_OR_RETURN(
-        f.triples,
-        GenerateTriples(*f.fixture.view, f.delta.get(), nullptr));
+    AVM_ASSIGN_OR_RETURN(f.triples,
+                         GenerateTriples(ViewSet(f.fixture.view.get()),
+                                         f.delta.get(), nullptr));
     AVM_ASSIGN_OR_RETURN(MaintenancePlan plan,
                          PlanBaseline(*f.fixture.view, f.triples, 3));
-    AVM_RETURN_IF_ERROR(ExecuteMaintenancePlan(plan, f.triples,
-                                               f.fixture.view.get(),
-                                               f.delta.get(), nullptr)
+    AVM_RETURN_IF_ERROR(ExecuteForView(plan, f.triples, f.fixture.view.get(),
+                                       f.delta.get(), nullptr)
                             .status());
     AVM_ASSIGN_OR_RETURN(SparseArray view_content,
                          f.fixture.view->array().Gather());

@@ -99,8 +99,9 @@ TEST(ArrayReassignerTest, MovesOnlyToReplicatedNodes) {
     status = delta.PutChunk(id, chunk, kCoordinatorNode);
   });
   ASSERT_OK(status);
-  ASSERT_OK_AND_ASSIGN(TripleSet triples,
-                       GenerateTriples(*fixture.view, &delta, nullptr));
+  ASSERT_OK_AND_ASSIGN(
+      TripleSet triples,
+      GenerateTriples(ViewSet(fixture.view.get()), &delta, nullptr));
   PlannerOptions options;
   ASSERT_OK_AND_ASSIGN(
       DifferentialPlanResult stage1,
@@ -140,8 +141,9 @@ TEST(ArrayReassignerTest, ZeroCpuBudgetBlocksBaseMoves) {
     status = delta.PutChunk(id, chunk, kCoordinatorNode);
   });
   ASSERT_OK(status);
-  ASSERT_OK_AND_ASSIGN(TripleSet triples,
-                       GenerateTriples(*fixture.view, &delta, nullptr));
+  ASSERT_OK_AND_ASSIGN(
+      TripleSet triples,
+      GenerateTriples(ViewSet(fixture.view.get()), &delta, nullptr));
   PlannerOptions options;
   options.cpu_threshold_slack = 0.0;  // no budget at all
   ASSERT_OK_AND_ASSIGN(

@@ -212,9 +212,9 @@ Result<PlanFixture> MakePlanFixture(uint64_t seed) {
   });
   AVM_RETURN_IF_ERROR(status);
   out.delta = std::make_unique<DistributedArray>(std::move(delta));
-  AVM_ASSIGN_OR_RETURN(
-      out.triples,
-      GenerateTriples(*out.fixture.view, out.delta.get(), nullptr));
+  AVM_ASSIGN_OR_RETURN(out.triples,
+                       GenerateTriples(ViewSet(out.fixture.view.get()),
+                                       out.delta.get(), nullptr));
   AVM_ASSIGN_OR_RETURN(
       out.plan,
       PlanBaseline(*out.fixture.view, out.triples, out.num_workers));
@@ -327,8 +327,9 @@ TEST(PlanValidatorTest, CatalogStoreConsistencyHoldsAndCatchesDrift) {
   const std::vector<ArrayId> arrays = {base_id, f.fixture.view->array().id()};
   // The audit's no-stray-replica clause only holds after the executor's
   // cleanup step; run the batch to reach a steady state.
-  ASSERT_OK(ExecuteMaintenancePlan(f.plan, f.triples, f.fixture.view.get(),
-                                   f.delta.get(), nullptr)
+  ViewSet set(f.fixture.view.get());
+  ASSERT_OK(ExecuteMaintenancePlan(f.plan, f.triples, &set, f.delta.get(),
+                                   nullptr)
                 .status());
   ScopedThrowingCheckHandler guard;
   ValidateCatalogStoreConsistency(*catalog, *cluster, arrays);
@@ -350,8 +351,9 @@ TEST(PlanValidatorTest, UnregisteredReplicaIsCaught) {
   Cluster* cluster = f.fixture.cluster.get();
   const ArrayId base_id = f.fixture.view->left_base().id();
   const std::vector<ArrayId> arrays = {base_id, f.fixture.view->array().id()};
-  ASSERT_OK(ExecuteMaintenancePlan(f.plan, f.triples, f.fixture.view.get(),
-                                   f.delta.get(), nullptr)
+  ViewSet set(f.fixture.view.get());
+  ASSERT_OK(ExecuteMaintenancePlan(f.plan, f.triples, &set, f.delta.get(),
+                                   nullptr)
                 .status());
   {
     ScopedThrowingCheckHandler guard;

@@ -4,12 +4,14 @@
 
 #include <map>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
 #include "join/pair_enumeration.h"
 #include "maintenance/deletions.h"
-#include "maintenance/multi_view_maintainer.h"
+#include "maintenance/maintainer.h"
 #include "serve/epoch_manager.h"
 #include "telemetry/metrics.h"
 #include "tests/test_util.h"
@@ -36,6 +38,12 @@ AggregateLayout CountSumLayout() {
                                         1);
   AVM_CHECK(layout.ok());
   return std::move(layout).value();
+}
+
+std::vector<const Shape*> ShapePointers(const std::vector<Shape>& shapes) {
+  std::vector<const Shape*> out;
+  for (const Shape& shape : shapes) out.push_back(&shape);
+  return out;
 }
 
 /// Flattens a fragment map to (chunk, offset-coord) -> state for exact
@@ -71,9 +79,10 @@ TEST(ViewSetTest, ValidatesMembership) {
   ASSERT_OK_AND_ASSIGN(auto f2,
                        MakeCountViewFixture(3, 60, Shape::LinfBall(2, 1), 12));
   EXPECT_TRUE(set.AddView(f2.view.get()).IsInvalidArgument());
-  // K=1 union is exactly the primary's shape.
-  ASSERT_OK_AND_ASSIGN(Shape u, set.UnionShape());
+  // K=1 union is exactly the primary's shape — the same object, not a copy.
+  const Shape& u = set.union_shape();
   EXPECT_EQ(u.offsets(), f1.view->definition().shape.offsets());
+  EXPECT_EQ(&u, &f1.view->definition().shape);
 }
 
 TEST(ViewSetTest, UnionShapeCoversAllMembers) {
@@ -94,9 +103,79 @@ TEST(ViewSetTest, UnionShapeCoversAllMembers) {
   ViewSet set;
   ASSERT_OK(set.AddView(fixture.view.get()));
   ASSERT_OK(set.AddView(&view2));
-  ASSERT_OK_AND_ASSIGN(Shape u, set.UnionShape());
+  const Shape& u = set.union_shape();
   // L1(1) ⊂ Linf(1) in 2-D, so the union is the Linf ball.
   EXPECT_EQ(u.size(), Shape::LinfBall(2, 1).size());
+}
+
+/// Two-array views over base arrays "A" and "B" (and "C", a second right
+/// operand): one view per shape, all joining A with B unless
+/// `right_of_last` names another right array for the last view. Initial
+/// content depends only on `seed`, so two universes built with one seed
+/// hold byte-identical bases.
+struct TwoArrayUniverse {
+  std::unique_ptr<Catalog> catalog;
+  std::unique_ptr<Cluster> cluster;
+  std::vector<std::unique_ptr<DistributedArray>> bases;
+  std::vector<std::unique_ptr<MaterializedView>> views;
+  SparseArray a_local;  // mirror of A's initial content
+  SparseArray b_local;  // mirror of B's initial content
+
+  TwoArrayUniverse()
+      : a_local(Make2DSchema("A")), b_local(Make2DSchema("B")) {}
+};
+
+Result<TwoArrayUniverse> MakeTwoArrayUniverse(
+    const std::vector<Shape>& shapes, uint64_t seed,
+    const std::string& right_of_last = "B") {
+  TwoArrayUniverse u;
+  u.catalog = std::make_unique<Catalog>();
+  u.cluster = std::make_unique<Cluster>(3);
+  Rng rng(seed);
+  testing_util::FillRandom(&u.a_local, 80, &rng);
+  testing_util::FillRandom(&u.b_local, 80, &rng);
+  SparseArray c_local(Make2DSchema("C"));
+  testing_util::FillRandom(&c_local, 40, &rng);
+  for (const SparseArray* local : {&u.a_local, &u.b_local, &c_local}) {
+    AVM_ASSIGN_OR_RETURN(
+        DistributedArray base,
+        DistributedArray::Create(local->schema(), MakeHashPlacement(),
+                                 u.catalog.get(), u.cluster.get()));
+    AVM_RETURN_IF_ERROR(base.Ingest(*local));
+    u.bases.push_back(std::make_unique<DistributedArray>(std::move(base)));
+  }
+  for (size_t k = 0; k < shapes.size(); ++k) {
+    ViewDefinition def;
+    def.view_name = "V" + std::to_string(k);
+    def.left_array = "A";
+    def.right_array = k + 1 == shapes.size() ? right_of_last : "B";
+    def.mapping = DimMapping::Identity(2);
+    def.shape = shapes[k];
+    def.aggregates = {{AggregateFunction::kCount, 0, "cnt"},
+                      {AggregateFunction::kSum, 0, "s"}};
+    AVM_ASSIGN_OR_RETURN(
+        MaterializedView view,
+        CreateMaterializedView(std::move(def), MakeRoundRobinPlacement(),
+                               u.catalog.get(), u.cluster.get()));
+    u.views.push_back(std::make_unique<MaterializedView>(std::move(view)));
+  }
+  u.cluster->ResetClocks();
+  return u;
+}
+
+TEST(ViewSetTest, RejectsMemberWithDifferentRightBase) {
+  ASSERT_OK_AND_ASSIGN(
+      TwoArrayUniverse u,
+      MakeTwoArrayUniverse({Shape::L1Ball(2, 1), Shape::LinfBall(2, 1),
+                            Shape::LinfBall(2, 2)},
+                           81, /*right_of_last=*/"C"));
+  ViewSet set;
+  ASSERT_OK(set.AddView(u.views[0].get()));
+  // Same (A, B) pair: a two-array view joins the set.
+  ASSERT_OK(set.AddView(u.views[1].get()));
+  // Same left base, different right base (A with C): rejected.
+  EXPECT_TRUE(set.AddView(u.views[2].get()).IsInvalidArgument());
+  EXPECT_EQ(set.size(), 2u);
 }
 
 // ---------------------------------------------------------------------------
@@ -108,9 +187,9 @@ TEST(CompiledViewSetTest, MasksPartitionTheUnion) {
   const ChunkGrid grid(schema);
   const std::vector<Shape> shapes = {Shape::L1Ball(2, 1),
                                      Shape::LinfBall(2, 1)};
-  ASSERT_OK_AND_ASSIGN(
-      CompiledViewSet set,
-      CompiledViewSet::Create(shapes, DimMapping::Identity(2), grid));
+  ASSERT_OK_AND_ASSIGN(CompiledViewSet set,
+                       CompiledViewSet::Create(ShapePointers(shapes),
+                                               DimMapping::Identity(2), grid));
   ASSERT_EQ(set.num_views(), 2u);
   EXPECT_EQ(set.union_shape().size(), Shape::LinfBall(2, 1).size());
   EXPECT_EQ(set.view_shape_size(0), shapes[0].size());
@@ -136,11 +215,30 @@ TEST(CompiledViewSetTest, RejectsBadInputs) {
   EXPECT_TRUE(CompiledViewSet::Create({}, DimMapping::Identity(2), grid)
                   .status()
                   .IsInvalidArgument());
-  EXPECT_TRUE(CompiledViewSet::Create(
-                  {Shape::L1Ball(2, 1), Shape::L1Ball(3, 1)},
-                  DimMapping::Identity(2), grid)
+  const std::vector<Shape> mixed_dims = {Shape::L1Ball(2, 1),
+                                         Shape::L1Ball(3, 1)};
+  EXPECT_TRUE(CompiledViewSet::Create(ShapePointers(mixed_dims),
+                                      DimMapping::Identity(2), grid)
                   .status()
                   .IsInvalidArgument());
+}
+
+TEST(CompiledViewSetTest, OneMemberSetIsTheCachedSoloShape) {
+  const ArraySchema schema = Make2DSchema("A", 16, 4, 16, 4);
+  const ChunkGrid grid(schema);
+  const DimMapping mapping = DimMapping::Identity(2);
+  const Shape shape = Shape::LinfBall(2, 2);
+  const Shape* shapes[] = {&shape};
+  ASSERT_OK_AND_ASSIGN(CompiledViewSet set,
+                       CompiledViewSet::Create(shapes, mapping, grid));
+  EXPECT_EQ(set.num_views(), 1u);
+  EXPECT_EQ(set.view_shape_size(0), shape.size());
+  // The single view pays for no acceptance masks, and its compilation is
+  // the very entry the single-view kernel gets from the global cache.
+  EXPECT_TRUE(set.offset_masks().empty());
+  ASSERT_OK_AND_ASSIGN(std::shared_ptr<const CompiledShape> solo,
+                       CompiledShapeCache::Global().Get(shape, mapping, grid));
+  EXPECT_EQ(&set.union_compiled(), solo.get());
 }
 
 // ---------------------------------------------------------------------------
@@ -158,8 +256,9 @@ void ExpectKernelBitIdentity(const SparseArray& array,
   const ChunkGrid& grid = array.grid();
   const std::vector<size_t> group_dims = {0, 1};
   const size_t k_views = shapes.size();
-  ASSERT_OK_AND_ASSIGN(CompiledViewSet set,
-                       CompiledViewSet::Create(shapes, mapping, grid));
+  ASSERT_OK_AND_ASSIGN(
+      CompiledViewSet set,
+      CompiledViewSet::Create(ShapePointers(shapes), mapping, grid));
 
   std::vector<std::map<ChunkId, Chunk>> multi(k_views);
   std::vector<std::map<ChunkId, Chunk>> solo(k_views);
@@ -251,10 +350,12 @@ TEST_F(MultiViewKernelTest, ForcedSparseRightChunks) {
 }
 
 TEST_F(MultiViewKernelTest, LaneCountMustMatch) {
-  ASSERT_OK_AND_ASSIGN(
-      CompiledViewSet set,
-      CompiledViewSet::Create({Shape::L1Ball(2, 1), Shape::LinfBall(2, 1)},
-                              DimMapping::Identity(2), array_.grid()));
+  const std::vector<Shape> shapes = {Shape::L1Ball(2, 1),
+                                     Shape::LinfBall(2, 1)};
+  ASSERT_OK_AND_ASSIGN(CompiledViewSet set,
+                       CompiledViewSet::Create(ShapePointers(shapes),
+                                               DimMapping::Identity(2),
+                                               array_.grid()));
   const AggregateLayout layout = CountLayout();
   const std::vector<size_t> group_dims = {0, 1};
   std::map<ChunkId, Chunk> frags;
@@ -268,14 +369,14 @@ TEST_F(MultiViewKernelTest, LaneCountMustMatch) {
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end: MultiViewMaintainer vs independent single-view maintenance
+// End-to-end: a set's ViewMaintainer vs independent single-view maintenance
 // ---------------------------------------------------------------------------
 
-/// testing_util::ViewSetFixture plus a ready MultiViewMaintainer — every
-/// end-to-end test here maintains through the shared pass.
+/// testing_util::ViewSetFixture plus a ready ViewMaintainer over the whole
+/// set — every end-to-end test here maintains through the shared pass.
 struct SetFixture {
   testing_util::ViewSetFixture universe;
-  std::unique_ptr<MultiViewMaintainer> maintainer;
+  std::unique_ptr<ViewMaintainer> maintainer;
   ViewSet* set = nullptr;  // universe.set, for terser call sites
   SparseArray local_base;
 
@@ -295,7 +396,7 @@ Result<SetFixture> MakeSetFixture(int num_workers, size_t base_cells,
   fixture.set = fixture.universe.set.get();
   fixture.local_base = std::move(fixture.universe.local_base);
   fixture.maintainer =
-      std::make_unique<MultiViewMaintainer>(fixture.set, method);
+      std::make_unique<ViewMaintainer>(fixture.set, method);
   return fixture;
 }
 
@@ -514,6 +615,114 @@ TEST(MultiViewMaintainerTest, BatchPublishesOneEpochForAllMembers) {
   // epoch n+1 with view B at epoch n.
   EXPECT_EQ(snapshot.epoch().views().size(), 2u);
   EXPECT_EQ(snapshot.epoch_id(), 1u);
+}
+
+TEST(MultiViewMaintainerTest, TwoArraySetBitIdenticalToOneMemberSets) {
+  const std::vector<Shape> shapes = {Shape::L1Ball(2, 1),
+                                     Shape::LinfBall(2, 2)};
+  ASSERT_OK_AND_ASSIGN(TwoArrayUniverse multi,
+                       MakeTwoArrayUniverse(shapes, 91));
+  ViewSet set;
+  for (const auto& view : multi.views) ASSERT_OK(set.AddView(view.get()));
+  ViewMaintainer maintainer(&set, MaintenanceMethod::kReassign);
+
+  // Inserts on both sides; the second batch also overwrites existing cells
+  // of both bases, so every member runs its own modification pass.
+  SparseArray a_now = multi.a_local.Clone();
+  SparseArray b_now = multi.b_local.Clone();
+  std::vector<std::pair<SparseArray, SparseArray>> batches;
+  Rng rng(9100);
+  for (size_t b = 0; b < 2; ++b) {
+    SparseArray a_delta = RandomDisjointDelta(a_now, 25, &rng);
+    SparseArray b_delta = RandomDisjointDelta(b_now, 25, &rng);
+    if (b == 1) {
+      size_t i = 0;
+      for (SparseArray* side : {&a_now, &b_now}) {
+        SparseArray* delta = side == &a_now ? &a_delta : &b_delta;
+        side->ForEachCell([&](std::span<const int64_t> coord,
+                              std::span<const double> values) {
+          if (i++ % 7 != 0) return;
+          AVM_CHECK(delta
+                        ->Set(CellCoord(coord.begin(), coord.end()),
+                              std::vector<double>{values[0] + 1.5})
+                        .ok());
+        });
+      }
+    }
+    for (const auto& [side, delta] :
+         {std::pair{&a_now, &a_delta}, std::pair{&b_now, &b_delta}}) {
+      delta->ForEachCell([&](std::span<const int64_t> coord,
+                             std::span<const double> values) {
+        AVM_CHECK(side->Set(CellCoord(coord.begin(), coord.end()), values)
+                      .ok());
+      });
+    }
+    batches.emplace_back(std::move(a_delta), std::move(b_delta));
+  }
+  for (const auto& [a_delta, b_delta] : batches) {
+    ASSERT_OK_AND_ASSIGN(MaintenanceReport report,
+                         maintainer.ApplyBatch(a_delta, &b_delta));
+    EXPECT_EQ(report.per_view_breakdown().size(), 2u);
+  }
+
+  for (size_t k = 0; k < shapes.size(); ++k) {
+    ASSERT_OK_AND_ASSIGN(TwoArrayUniverse solo,
+                         MakeTwoArrayUniverse({shapes[k]}, 91));
+    ViewMaintainer solo_maintainer(solo.views[0].get(),
+                                   MaintenanceMethod::kReassign);
+    for (const auto& [a_delta, b_delta] : batches) {
+      ASSERT_OK(solo_maintainer.ApplyBatch(a_delta, &b_delta).status());
+    }
+    ASSERT_OK_AND_ASSIGN(SparseArray multi_states,
+                         multi.views[k]->array().Gather());
+    ASSERT_OK_AND_ASSIGN(SparseArray solo_states,
+                         solo.views[0]->array().Gather());
+    EXPECT_TRUE(multi_states.ContentEquals(solo_states, 0.0)) << "view " << k;
+    EXPECT_TRUE(ViewMatchesRecompute(*multi.views[k]));
+  }
+  // The identity-self-join rule lives in deletions now.
+  EXPECT_TRUE(maintainer.ApplyDeletions(batches[0].first)
+                  .status()
+                  .IsUnimplemented());
+}
+
+TEST(MultiViewMaintainerTest, MemberAddedAfterABatchIsMaintained) {
+  ASSERT_OK_AND_ASSIGN(
+      SetFixture fixture,
+      MakeSetFixture(3, 120, {Shape::L1Ball(2, 1)}, 73, /*with_sum=*/true,
+                     MaintenanceMethod::kDifferential));
+  SparseArray occupied = fixture.local_base.Clone();
+  auto next_batch = [&](uint64_t seed) {
+    Rng rng(seed);
+    SparseArray delta = RandomDisjointDelta(occupied, 30, &rng);
+    delta.ForEachCell(
+        [&](std::span<const int64_t> coord, std::span<const double> values) {
+          AVM_CHECK(
+              occupied.Set(CellCoord(coord.begin(), coord.end()), values)
+                  .ok());
+        });
+    return delta;
+  };
+  ASSERT_OK(fixture.maintainer->ApplyBatch(next_batch(7300)).status());
+  // A wider member joins the set after its first batch (as a session's
+  // later CREATE VIEW does): the next batch must enumerate pairs under the
+  // grown union, not under footprints cached for the old one.
+  ViewDefinition def;
+  def.view_name = "wide";
+  def.left_array = "base";
+  def.right_array = "base";
+  def.mapping = DimMapping::Identity(2);
+  def.shape = Shape::LinfBall(2, 3);
+  def.aggregates = {{AggregateFunction::kCount, 0, "cnt"}};
+  ASSERT_OK_AND_ASSIGN(
+      MaterializedView wide,
+      CreateMaterializedView(std::move(def), MakeRoundRobinPlacement(),
+                             fixture.universe.catalog.get(),
+                             fixture.universe.cluster.get()));
+  ASSERT_OK(fixture.set->AddView(&wide));
+  ASSERT_OK(fixture.maintainer->ApplyBatch(next_batch(7301)).status());
+  EXPECT_TRUE(ViewMatchesRecompute(*fixture.set->view(0)));
+  EXPECT_TRUE(ViewMatchesRecompute(wide));
 }
 
 TEST(MultiViewMaintainerTest, PrefetchAbsorbsRepeatLookups) {

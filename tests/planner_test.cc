@@ -46,9 +46,9 @@ Result<PlannedBatch> MakePlannedBatch(int num_workers, size_t base_cells,
   });
   AVM_RETURN_IF_ERROR(status);
   batch.delta = std::make_unique<DistributedArray>(std::move(delta));
-  AVM_ASSIGN_OR_RETURN(
-      batch.triples,
-      GenerateTriples(*batch.fixture.view, batch.delta.get(), nullptr));
+  AVM_ASSIGN_OR_RETURN(batch.triples,
+                       GenerateTriples(ViewSet(batch.fixture.view.get()),
+                                       batch.delta.get(), nullptr));
   return batch;
 }
 

@@ -19,12 +19,17 @@ namespace {
 using testing_util::JsonValue;
 using testing_util::ParseJson;
 
-/// NOTE on ordering: the disabled-mode test must run before anything enables
-/// telemetry in this process (shards and trace buffers, once allocated, stay
-/// registered forever by design). It is declared first; under ctest every
-/// test runs in its own process anyway.
+/// Disabled mode must record and allocate nothing. Shards and trace
+/// buffers, once allocated, stay registered forever by design, and counters
+/// only grow, so the test compares against the state it finds at its start
+/// rather than against zero: it holds whatever ran earlier in the process.
 TEST(TelemetryTest, DisabledModeRecordsAndAllocatesNothing) {
   ASSERT_FALSE(TelemetryEnabled());
+  const size_t shards_before = MetricsRegistry::Global().NumShardsForTesting();
+  const size_t buffers_before =
+      TraceCollector::Global().NumBuffersForTesting();
+  const size_t events_before = TraceCollector::Global().Collect().size();
+  const MetricsSnapshot before = MetricsRegistry::Global().Snapshot();
   CountAdd(CounterId::kJoinProbes, 17);
   GaugeAdd(GaugeId::kPoolQueueDepth, 3);
   GaugeSet(GaugeId::kStoreResidentBytes, 99);
@@ -33,14 +38,18 @@ TEST(TelemetryTest, DisabledModeRecordsAndAllocatesNothing) {
     ScopedSpan span("telemetry.test.disabled", "test");
     span.AddArg("k", 1);
   }
-  EXPECT_EQ(MetricsRegistry::Global().NumShardsForTesting(), 0u);
-  EXPECT_EQ(TraceCollector::Global().NumBuffersForTesting(), 0u);
+  EXPECT_EQ(MetricsRegistry::Global().NumShardsForTesting(), shards_before);
+  EXPECT_EQ(TraceCollector::Global().NumBuffersForTesting(), buffers_before);
   const MetricsSnapshot snapshot = MetricsRegistry::Global().Snapshot();
-  EXPECT_EQ(snapshot.counter(CounterId::kJoinProbes), 0u);
-  EXPECT_EQ(snapshot.gauge(GaugeId::kPoolQueueDepth), 0);
-  EXPECT_EQ(snapshot.gauge(GaugeId::kStoreResidentBytes), 0);
-  EXPECT_EQ(snapshot.histogram_total(HistogramId::kPoolTaskSeconds), 0u);
-  EXPECT_TRUE(TraceCollector::Global().Collect().empty());
+  const MetricsSnapshot delta = snapshot.DeltaSince(before);
+  EXPECT_EQ(delta.counter(CounterId::kJoinProbes), 0u);
+  // Gauges are instantaneous: DeltaSince keeps the current value.
+  EXPECT_EQ(snapshot.gauge(GaugeId::kPoolQueueDepth),
+            before.gauge(GaugeId::kPoolQueueDepth));
+  EXPECT_EQ(snapshot.gauge(GaugeId::kStoreResidentBytes),
+            before.gauge(GaugeId::kStoreResidentBytes));
+  EXPECT_EQ(delta.histogram_total(HistogramId::kPoolTaskSeconds), 0u);
+  EXPECT_EQ(TraceCollector::Global().Collect().size(), events_before);
 
   // A span alive across EnableTelemetry stays inert: enabling must not
   // retroactively produce a half-open event.
@@ -48,7 +57,7 @@ TEST(TelemetryTest, DisabledModeRecordsAndAllocatesNothing) {
     ScopedSpan span("telemetry.test.straddle", "test");
     EnableTelemetry();
   }
-  EXPECT_TRUE(TraceCollector::Global().Collect().empty());
+  EXPECT_EQ(TraceCollector::Global().Collect().size(), events_before);
   DisableTelemetry();
 }
 

@@ -35,8 +35,9 @@ TEST(TripleGenTest, EmptyDeltaYieldsNoPairs) {
                        MakeCountViewFixture(3, 50, Shape::L1Ball(2, 1)));
   SparseArray empty(fixture.local_base.schema());
   ASSERT_OK_AND_ASSIGN(DistributedArray delta, MakeDelta(fixture, empty));
-  ASSERT_OK_AND_ASSIGN(TripleSet triples,
-                       GenerateTriples(*fixture.view, &delta, nullptr));
+  ASSERT_OK_AND_ASSIGN(
+      TripleSet triples,
+      GenerateTriples(ViewSet(fixture.view.get()), &delta, nullptr));
   EXPECT_TRUE(triples.pairs.empty());
   EXPECT_EQ(triples.num_triples(), 0u);
 }
@@ -47,8 +48,9 @@ TEST(TripleGenTest, IsolatedDeltaChunkHasOnlySelfPair) {
   SparseArray cells(fixture.local_base.schema());
   ASSERT_OK(cells.Set({20, 12}, std::vector<double>{1.0}));
   ASSERT_OK_AND_ASSIGN(DistributedArray delta, MakeDelta(fixture, cells));
-  ASSERT_OK_AND_ASSIGN(TripleSet triples,
-                       GenerateTriples(*fixture.view, &delta, nullptr));
+  ASSERT_OK_AND_ASSIGN(
+      TripleSet triples,
+      GenerateTriples(ViewSet(fixture.view.get()), &delta, nullptr));
   ASSERT_EQ(triples.pairs.size(), 1u);
   EXPECT_EQ(triples.pairs[0].a, triples.pairs[0].b);
   EXPECT_EQ(triples.pairs[0].a.side, ChunkSide::kLeftDelta);
@@ -66,8 +68,9 @@ TEST(TripleGenTest, DeltaNextToBaseProducesBothDirections) {
   ASSERT_OK(delta_cells.Set({9, 6}, std::vector<double>{1.0}));
   ASSERT_OK_AND_ASSIGN(DistributedArray delta,
                        MakeDelta(fixture, delta_cells));
-  ASSERT_OK_AND_ASSIGN(TripleSet triples,
-                       GenerateTriples(*fixture.view, &delta, nullptr));
+  ASSERT_OK_AND_ASSIGN(
+      TripleSet triples,
+      GenerateTriples(ViewSet(fixture.view.get()), &delta, nullptr));
   // Pairs: delta self-pair plus (delta, base-neighbor) with both directions
   // (symmetric shape).
   bool found_cross = false;
@@ -95,8 +98,9 @@ TEST(TripleGenTest, AsymmetricShapeSplitsDirections) {
   ASSERT_OK(delta_cells.Set({16, 6}, std::vector<double>{1.0}));
   ASSERT_OK_AND_ASSIGN(DistributedArray delta,
                        MakeDelta(fixture, delta_cells));
-  ASSERT_OK_AND_ASSIGN(TripleSet triples,
-                       GenerateTriples(*fixture.view, &delta, nullptr));
+  ASSERT_OK_AND_ASSIGN(
+      TripleSet triples,
+      GenerateTriples(ViewSet(fixture.view.get()), &delta, nullptr));
   // The cross pair must run with the *delta* as the group-by side only.
   for (const auto& pair : triples.pairs) {
     if (IsDeltaSide(pair.a.side) != IsDeltaSide(pair.b.side)) {
@@ -114,8 +118,9 @@ TEST(TripleGenTest, LocationsAndSizesSnapshotted) {
   SparseArray cells =
       testing_util::RandomDisjointDelta(fixture.local_base, 30, &rng);
   ASSERT_OK_AND_ASSIGN(DistributedArray delta, MakeDelta(fixture, cells));
-  ASSERT_OK_AND_ASSIGN(TripleSet triples,
-                       GenerateTriples(*fixture.view, &delta, nullptr));
+  ASSERT_OK_AND_ASSIGN(
+      TripleSet triples,
+      GenerateTriples(ViewSet(fixture.view.get()), &delta, nullptr));
   for (const auto& pair : triples.pairs) {
     for (const MChunkRef& ref : {pair.a, pair.b}) {
       ASSERT_TRUE(triples.location.count(ref) > 0);
@@ -139,8 +144,9 @@ TEST(TripleGenTest, ViewTargetsCoverDeltaChunks) {
   SparseArray cells =
       testing_util::RandomDisjointDelta(fixture.local_base, 30, &rng);
   ASSERT_OK_AND_ASSIGN(DistributedArray delta, MakeDelta(fixture, cells));
-  ASSERT_OK_AND_ASSIGN(TripleSet triples,
-                       GenerateTriples(*fixture.view, &delta, nullptr));
+  ASSERT_OK_AND_ASSIGN(
+      TripleSet triples,
+      GenerateTriples(ViewSet(fixture.view.get()), &delta, nullptr));
   // Every delta chunk's view image must appear among some pair's targets
   // (the view inherits the base grid, so ids match).
   std::set<ChunkId> targeted;
@@ -161,8 +167,9 @@ TEST(TripleGenTest, PairsCoverEveryActualCellMatch) {
   SparseArray cells =
       testing_util::RandomDisjointDelta(fixture.local_base, 40, &rng);
   ASSERT_OK_AND_ASSIGN(DistributedArray delta, MakeDelta(fixture, cells));
-  ASSERT_OK_AND_ASSIGN(TripleSet triples,
-                       GenerateTriples(*fixture.view, &delta, nullptr));
+  ASSERT_OK_AND_ASSIGN(
+      TripleSet triples,
+      GenerateTriples(ViewSet(fixture.view.get()), &delta, nullptr));
 
   std::set<std::pair<std::pair<int, ChunkId>, std::pair<int, ChunkId>>>
       directions;
@@ -207,13 +214,13 @@ TEST(TripleGenTest, PairsCoverEveryActualCellMatch) {
 TEST(TripleGenTest, RejectsInvalidInputs) {
   ASSERT_OK_AND_ASSIGN(auto fixture,
                        MakeCountViewFixture(3, 10, Shape::L1Ball(2, 1)));
-  EXPECT_TRUE(GenerateTriples(*fixture.view, nullptr, nullptr)
+  EXPECT_TRUE(GenerateTriples(ViewSet(fixture.view.get()), nullptr, nullptr)
                   .status()
                   .IsInvalidArgument());
   SparseArray cells(fixture.local_base.schema());
   ASSERT_OK_AND_ASSIGN(DistributedArray delta, MakeDelta(fixture, cells));
   // Self-join views reject a right delta.
-  EXPECT_TRUE(GenerateTriples(*fixture.view, &delta, &delta)
+  EXPECT_TRUE(GenerateTriples(ViewSet(fixture.view.get()), &delta, &delta)
                   .status()
                   .IsInvalidArgument());
 }
