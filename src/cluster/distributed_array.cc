@@ -56,13 +56,11 @@ Status DistributedArray::PutChunk(
     return Status::InvalidArgument("bad node id " + std::to_string(node));
   }
   ChunkStore& store = cluster_->store(node);
-  Chunk* existing = store.GetMutable(id_, chunk);
+  // Pin-while-mutating: the handle keeps the chunk evict-proof across the
+  // merge.
+  const MutableChunkHandle existing = store.PinMutable(id_, chunk);
   uint64_t bytes;
   if (existing != nullptr) {
-    // Pin-while-mutating: the handle keeps the chunk evict-proof across
-    // the merge (GetHandle never COW-breaks, so it aliases the post-break
-    // chunk GetMutable just returned).
-    const ChunkHandle pin = store.GetHandle(id_, chunk);
     // Upsert-merge cell-wise into the resident copy.
     AVM_RETURN_IF_ERROR(existing->UpsertChunk(data));
     existing->MaybeAdaptRepresentation(grid(), chunk);
@@ -87,12 +85,12 @@ Status DistributedArray::AccumulateIntoChunk(ChunkId chunk, const Chunk& delta,
     catalog_->AssignChunk(id_, chunk, node);
   }
   ChunkStore& store = cluster_->store(node);
-  Chunk& target =
-      store.GetOrCreate(id_, chunk, delta.num_dims(), delta.num_attrs());
-  const ChunkHandle pin = store.GetHandle(id_, chunk);  // pin-while-mutating
-  AVM_RETURN_IF_ERROR(target.AccumulateChunk(delta));
-  target.MaybeAdaptRepresentation(grid(), chunk);
-  catalog_->SetChunkBytes(id_, chunk, target.SizeBytes());
+  // Pin-while-mutating.
+  const MutableChunkHandle target =
+      store.PinOrCreate(id_, chunk, delta.num_dims(), delta.num_attrs());
+  AVM_RETURN_IF_ERROR(target->AccumulateChunk(delta));
+  target->MaybeAdaptRepresentation(grid(), chunk);
+  catalog_->SetChunkBytes(id_, chunk, target->SizeBytes());
   return Status::OK();
 }
 

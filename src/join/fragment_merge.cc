@@ -20,12 +20,10 @@ Status MergeStateFragment(DistributedArray* target, ChunkId v,
     target->catalog()->AssignChunk(target->id(), v, node);
   }
   ChunkStore& store = target->cluster()->store(node);
-  Chunk& dst = store.GetOrCreate(target->id(), v, fragment.num_dims(),
-                                 fragment.num_attrs());
-  // Pin-while-mutating: the handle keeps `dst` evict-proof across the merge
-  // (GetHandle never COW-breaks, so it aliases the chunk GetOrCreate
-  // returned).
-  const ChunkHandle pin = store.GetHandle(target->id(), v);
+  // Pin-while-mutating: the handle keeps `dst` evict-proof across the merge.
+  const MutableChunkHandle pin = store.PinOrCreate(
+      target->id(), v, fragment.num_dims(), fragment.num_attrs());
+  Chunk& dst = *pin;
   dst.Reserve(dst.num_cells() + fragment.num_cells());
 
   std::vector<double> identity(layout.num_state_slots());

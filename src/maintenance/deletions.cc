@@ -56,15 +56,13 @@ Status EraseVictims(DistributedArray* base, const SparseArray& victims) {
       return;
     }
     ChunkStore& store = cluster->store(node.value());
-    Chunk* chunk = store.GetMutable(base->id(), m);
+    // Pin-while-mutating: the handle keeps the chunk evict-proof for the
+    // duration of the erase.
+    const MutableChunkHandle chunk = store.PinMutable(base->id(), m);
     if (chunk == nullptr) {
       status = Status::Internal("victim chunk missing from its store");
       return;
     }
-    // Pin-while-mutating: the handle keeps the chunk evict-proof for the
-    // duration of the erase (GetHandle never COW-breaks, so it aliases
-    // the post-break chunk GetMutable just returned).
-    const ChunkHandle pin = store.GetHandle(base->id(), m);
     victim_chunk.ForEachCellWithOffset(
         [&](uint64_t offset, std::span<const int64_t>,
             std::span<const double>) { chunk->EraseCell(offset); });
@@ -93,9 +91,9 @@ void CollectIdentityCells(MaterializedView* view,
     auto node = catalog->NodeOf(view_id, v);
     if (!node.ok()) continue;
     ChunkStore& store = cluster->store(node.value());
-    Chunk* chunk = store.GetMutable(view_id, v);
+    // Pin-while-mutating.
+    const MutableChunkHandle chunk = store.PinMutable(view_id, v);
     if (chunk == nullptr) continue;
-    const ChunkHandle pin = store.GetHandle(view_id, v);  // pin-while-mutating
     const double* state = chunk->GetCell(offset);
     if (state != nullptr &&
         layout.IsIdentity({state, layout.num_state_slots()})) {

@@ -222,10 +222,9 @@ Status FoldDeltaChunks(const MaintenancePlan& plan,
   struct UpsertJob {
     // Handles pin both operands: with a buffer manager attached, any store
     // access between here and the ParallelFor below could otherwise evict
-    // an unpinned chunk out from under the raw pointers.
+    // an unpinned chunk before its job runs.
     ChunkHandle delta;
-    ChunkHandle base_pin;
-    Chunk* base_chunk = nullptr;
+    MutableChunkHandle base_chunk;
     const ChunkGrid* grid = nullptr;
     ArrayId base_id = 0;
     ChunkId chunk_id = 0;
@@ -264,17 +263,15 @@ Status FoldDeltaChunks(const MaintenancePlan& plan,
       }
       ChunkHandle delta_handle = cluster->store(home).GetHandle(delta->id(), d);
       if (base_exists) {
-        Chunk* base_chunk = cluster->store(home).GetMutable(base.id(), d);
+        // The pin's extra refcount blocks eviction until the job is done.
+        MutableChunkHandle base_chunk =
+            cluster->store(home).PinMutable(base.id(), d);
         if (base_chunk == nullptr) {
           return Status::Internal(
               "base chunk missing from its primary node during delta merge");
         }
-        // Pin the base AFTER GetMutable: GetHandle never COW-breaks, so it
-        // aliases the post-break chunk GetMutable just returned, and the
-        // extra refcount blocks eviction until the job is done.
-        ChunkHandle base_pin = cluster->store(home).GetHandle(base.id(), d);
-        upserts.push_back({std::move(delta_handle), std::move(base_pin),
-                           base_chunk, &base.grid(), base.id(), d});
+        upserts.push_back({std::move(delta_handle), std::move(base_chunk),
+                           &base.grid(), base.id(), d});
       } else {
         // The delta chunk *becomes* the base chunk: alias it instead of
         // copying. Step 6 erases the transient delta entry; the base entry's
@@ -289,7 +286,7 @@ Status FoldDeltaChunks(const MaintenancePlan& plan,
     }
   }
   cluster->pool()->ParallelFor(upserts.size(), [&](size_t i) {
-    UpsertCells(*upserts[i].delta, upserts[i].base_chunk);
+    UpsertCells(*upserts[i].delta, upserts[i].base_chunk.get());
     // Adapt in the parallel task: a first conversion scatters O(volume)
     // cells, which amortizes like the upsert itself. Jobs touch disjoint
     // base chunks, so this races with nothing.

@@ -36,13 +36,12 @@ Status UpsertModifiedValues(DistributedArray* base,
       return;
     }
     ChunkStore& store = cluster->store(node.value());
-    Chunk* target = store.GetMutable(base->id(), id);
+    // Pin-while-mutating.
+    const MutableChunkHandle target = store.PinMutable(base->id(), id);
     if (target == nullptr) {
       status = Status::Internal("base chunk missing from its primary store");
       return;
     }
-    const ChunkHandle pin =
-        store.GetHandle(base->id(), id);  // pin-while-mutating
     status = target->UpsertChunk(chunk);
     if (!status.ok()) return;
     target->MaybeAdaptRepresentation(base->grid(), id);

@@ -225,9 +225,30 @@ ChunkHandle ChunkStore::GetHandle(ArrayId array, ChunkId chunk) const {
   return result;
 }
 
+MutableChunkHandle ChunkStore::MakeWriterPin(std::shared_ptr<Chunk> chunk) {
+  if (chunk == nullptr) return nullptr;
+  struct Holder {
+    Mutex* mu = nullptr;
+    std::shared_ptr<Chunk> chunk;
+    ~Holder() {
+      MutexLock lock(*mu);
+      chunk.reset();
+    }
+  };
+  auto holder = std::make_shared<Holder>();
+  holder->mu = &mu_;
+  holder->chunk = std::move(chunk);
+  Chunk* raw = holder->chunk.get();
+  return MutableChunkHandle(std::move(holder), raw);
+}
+
 Chunk* ChunkStore::GetMutable(ArrayId array, ChunkId chunk) {
+  return PinMutable(array, chunk).get();
+}
+
+MutableChunkHandle ChunkStore::PinMutable(ArrayId array, ChunkId chunk) {
   ResidencyNote note;
-  Chunk* result = nullptr;
+  MutableChunkHandle result;
   {
     MutexLock lock(mu_);
     auto it = chunks_.find(Key{array, chunk});
@@ -251,16 +272,21 @@ Chunk* ChunkStore::GetMutable(ArrayId array, ChunkId chunk) {
       CountAdd(CounterId::kStoreCowBreaks);
     }
     TouchLocked(entry);
-    result = entry.chunk.get();
+    result = entry.chunk;
   }
   Deliver(note);
-  return result;
+  return MakeWriterPin(std::move(result));
 }
 
 Chunk& ChunkStore::GetOrCreate(ArrayId array, ChunkId chunk, size_t num_dims,
                                size_t num_attrs) {
+  return *PinOrCreate(array, chunk, num_dims, num_attrs);
+}
+
+MutableChunkHandle ChunkStore::PinOrCreate(ArrayId array, ChunkId chunk,
+                                           size_t num_dims, size_t num_attrs) {
   ResidencyNote note;
-  Chunk* result = nullptr;
+  MutableChunkHandle result;
   {
     MutexLock lock(mu_);
     auto it = chunks_.find(Key{array, chunk});
@@ -293,10 +319,10 @@ Chunk& ChunkStore::GetOrCreate(ArrayId array, ChunkId chunk, size_t num_dims,
       }
     }
     TouchLocked(it->second);
-    result = it->second.chunk.get();
+    result = it->second.chunk;
   }
   Deliver(note);
-  return *result;
+  return MakeWriterPin(std::move(result));
 }
 
 bool ChunkStore::Contains(ArrayId array, ChunkId chunk) const {

@@ -26,6 +26,11 @@ using ArrayId = uint32_t;
 /// copy (see ChunkStore::GetMutable).
 using ChunkHandle = std::shared_ptr<const Chunk>;
 
+/// A writer's handle to a store entry (see ChunkStore::PinMutable): the
+/// chunk it points at may be mutated, and holding it pins the entry against
+/// eviction for as long as the mutation lasts.
+using MutableChunkHandle = std::shared_ptr<Chunk>;
+
 namespace chunk_store_internal {
 inline std::atomic<bool> g_aliasing_enabled{true};
 inline std::atomic<int64_t> g_epoch_pins{0};
@@ -158,10 +163,11 @@ class BufferBackend {
 /// spill copy.
 ///
 /// Raw-pointer caveat with a backend attached: a `const Chunk*` from Get
-/// (or Chunk* / Chunk& from the mutable accessors) is only stable until the
+/// (or Chunk* / Chunk& from GetMutable/GetOrCreate) is only stable until the
 /// next store operation on any thread may trigger eviction. Code that holds
-/// a chunk across such a window must hold a ChunkHandle (which is a pin),
-/// not a raw pointer.
+/// a chunk across such a window must hold a ChunkHandle or, to mutate it, a
+/// MutableChunkHandle from PinMutable/PinOrCreate (both are pins), not a
+/// raw pointer.
 ///
 /// Keys are kept in an ordered map for deterministic iteration.
 class ChunkStore {
@@ -206,21 +212,31 @@ class ChunkStore {
   /// previously obtained raw pointer or handle for this key keeps observing
   /// the pre-break chunk.
   ///
-  /// Pin-while-mutating: with a buffer manager attached and any other
-  /// thread able to drive eviction, the caller must take a GetHandle pin
-  /// for this key and hold it for the duration of the mutation — the
-  /// eviction sweep treats use_count() == 1 as proof that nobody is
-  /// reading OR WRITING the buffers it is about to serialize. GetHandle
-  /// never COW-breaks, so taking the pin after this call aliases exactly
-  /// the chunk returned here.
+  /// The raw pointer is NOT a pin: with a buffer manager attached and any
+  /// other thread able to drive eviction, the entry may be spilled (and
+  /// the returned chunk freed) the moment this call returns. Mutating code
+  /// that can run beside an eviction sweep uses PinMutable instead.
   Chunk* GetMutable(ArrayId array, ChunkId chunk);
+
+  /// GetMutable, returning the chunk as a handle taken under the store
+  /// lock. Pin-while-mutating: the eviction sweep treats use_count() == 1
+  /// as proof that nobody is reading OR WRITING the buffers it is about to
+  /// serialize, so the caller holds this handle for the whole mutation.
+  /// Because the pin is taken in the same critical section as the fault-in
+  /// and the COW break, no sweep can spill the entry between the lookup and
+  /// the pin; it is released under the store lock, so a later sweep sees
+  /// every write made through it. Null if absent.
+  MutableChunkHandle PinMutable(ArrayId array, ChunkId chunk);
 
   /// The chunk, creating an empty one with the given layout if absent.
   /// Applies the same copy-on-write rule as GetMutable when the existing
-  /// entry is shared, and the same pin-while-mutating rule under a buffer
-  /// manager.
+  /// entry is shared; like GetMutable, the reference is not a pin.
   Chunk& GetOrCreate(ArrayId array, ChunkId chunk, size_t num_dims,
                      size_t num_attrs);
+
+  /// GetOrCreate, returning the chunk pinned as PinMutable does.
+  MutableChunkHandle PinOrCreate(ArrayId array, ChunkId chunk,
+                                 size_t num_dims, size_t num_attrs);
 
   /// True if the entry exists, resident or spilled. Never faults anything
   /// in — the presence test for code that must not touch the bytes.
@@ -353,6 +369,13 @@ class ChunkStore {
     std::shared_ptr<std::atomic<uint64_t>> stamp;
   };
   static void Deliver(const ResidencyNote& note);
+
+  /// Wraps a writer's reference to an entry's chunk so that the reference
+  /// is dropped under mu_. shared_ptr::use_count() is a relaxed load and
+  /// orders nothing, so without the lock a sweep that reads use_count() == 1
+  /// (TrySpill, PeekResidentBytes) would have no happens-before edge to the
+  /// writes made through the pin. Null in, null out.
+  MutableChunkHandle MakeWriterPin(std::shared_ptr<Chunk> chunk);
 
   /// Stamps the entry with the next global access tick (no-op without a
   /// backend — stamps exist only while one is attached).

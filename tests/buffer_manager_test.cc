@@ -164,6 +164,37 @@ TEST(BufferManagerTest, OutstandingHandleBlocksEviction) {
   EXPECT_EQ(fx.store.TrySpill(0, 0), 0u);
 }
 
+TEST(BufferManagerTest, MutablePinBlocksEvictionUntilReleased) {
+  constexpr size_t kCells = 512;
+  const uint64_t one = OneChunkPhysicalBytes(kCells);
+  BufferFixture fx(/*budget_bytes=*/5 * one / 2);
+
+  fx.store.Put(0, 0, MakeChunk(kCells, 0));
+  {
+    // The writer's pin is the entry itself, taken under the store lock:
+    // sweeps driven by the puts below must leave it resident, so the
+    // mutation lands in the chunk the store keeps.
+    const MutableChunkHandle pin = fx.store.PinMutable(0, 0);
+    ASSERT_NE(pin, nullptr);
+    for (size_t i = 1; i < 8; ++i) {
+      fx.store.Put(0, static_cast<ChunkId>(i), MakeChunk(kCells, i));
+    }
+    EXPECT_FALSE(fx.store.IsSpilled(0, 0))
+        << "a chunk pinned for mutation must never be spilled";
+    EXPECT_EQ(fx.store.TrySpill(0, 0), 0u);
+    pin->EraseCell(0);
+
+    const MutableChunkHandle created = fx.store.PinOrCreate(0, 9, 2, 1);
+    ASSERT_NE(created, nullptr);
+    EXPECT_EQ(fx.store.TrySpill(0, 9), 0u);
+  }
+  EXPECT_GT(fx.store.TrySpill(0, 0), 0u) << "released pins allow eviction";
+  const ChunkHandle reloaded = fx.store.GetHandle(0, 0);
+  ASSERT_NE(reloaded, nullptr);
+  EXPECT_EQ(reloaded->num_cells(), kCells - 1);
+  EXPECT_EQ(reloaded->GetCell(0), nullptr);
+}
+
 TEST(BufferManagerTest, AllPinnedWorkingSetDegradesToResident) {
   constexpr size_t kCells = 256;
   const uint64_t one = OneChunkPhysicalBytes(kCells);

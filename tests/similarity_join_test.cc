@@ -19,6 +19,11 @@ struct JoinCase {
   size_t cells;
 };
 
+// Without a printer gtest dumps the struct's bytes into the listed test
+// name, heap addresses included, so the name would change from build to
+// build.
+void PrintTo(const JoinCase& c, std::ostream* os) { *os << c.name; }
+
 class DistributedJoinTest : public ::testing::TestWithParam<JoinCase> {};
 
 TEST_P(DistributedJoinTest, MatchesReferenceEvaluation) {

@@ -22,6 +22,11 @@ struct GeometryCase {
   MaintenanceMethod method;
 };
 
+// Without a printer gtest dumps the struct's bytes into the listed test
+// name, heap addresses included, so the name would change from build to
+// build.
+void PrintTo(const GeometryCase& c, std::ostream* os) { *os << c.name; }
+
 class ViewGeometryTest : public ::testing::TestWithParam<GeometryCase> {};
 
 TEST_P(ViewGeometryTest, MaintenanceStaysExact) {
